@@ -1,14 +1,15 @@
-//! Architecture-level simulator for the hybrid MRAM-SRAM sparse PIM.
+//! Analytic architecture model of the hybrid MRAM-SRAM sparse PIM.
 //!
 //! This crate models the paper's Fig. 1 system: clusters of cores (4×4
-//! banks of 4×4 PE sub-arrays each), a SIMT scheduler, buses, and off-chip
-//! memory, plus the **dense digital CIM baselines** the paper compares
-//! against (ISSCC'21 SRAM \[29\] and ISCAS'23 MRAM \[30\]).
+//! banks of 4×4 PE sub-arrays each), bus and off-chip memory traffic, plus
+//! the **dense digital CIM baselines** the paper compares against
+//! (ISSCC'21 SRAM \[29\] and ISCAS'23 MRAM \[30\]).
 //!
 //! The layer is *analytic but calibrated*: per-tile cycle/energy formulas
 //! mirror the `pim-pe` cycle simulators exactly (unit tests assert the
 //! match), and deployments are rolled up from tile counts. This is the
-//! same level of abstraction as the PIMA-SIM / NVSIM flow the paper used.
+//! same level of abstraction as the PIMA-SIM / NVSIM flow the paper used;
+//! the executed PE simulators live in `pim-pe`.
 //!
 //! # Modules
 //!
@@ -22,13 +23,8 @@
 //! * [`pe_model`] — analytic per-tile cost models for the sparse PEs.
 //! * [`baseline`] — the dense SRAM/MRAM macro models.
 //! * [`memory`] — bus and off-chip memory traffic costs.
-//! * [`bus`] — shared-bus round-robin arbitration between PEs.
-//! * [`core_sim`] — executed multi-PE core simulation (real PEs +
-//!   scheduler + bus) validating the analytic roll-up.
 //! * [`mapper`] — provisioning (storage floor + throughput target) and
 //!   per-inference cost roll-up; produces [`mapper::Deployment`]s.
-//! * [`scheduler`] — the SIMT wave scheduler of Fig. 1, used to validate
-//!   the mapper's analytic latency roll-up.
 //! * [`edp`] — continual-learning energy-delay-product scenarios (Fig. 8).
 //!
 //! # Example
@@ -48,15 +44,12 @@
 //! ```
 
 pub mod baseline;
-pub mod bus;
 pub mod config;
-pub mod core_sim;
 pub mod edp;
 pub mod geometry;
 pub mod mapper;
 pub mod memory;
 pub mod pe_model;
-pub mod scheduler;
 pub mod workload;
 
 pub use config::{ArchConfig, ConfigError};

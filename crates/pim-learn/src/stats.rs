@@ -3,8 +3,8 @@
 use pim_core::experiments::{live_fig8, Fig8};
 use pim_device::{edp, Energy, Latency};
 use pim_pe::PeStats;
-use pim_runtime::metrics::LatencySummary;
 use pim_runtime::RuntimeStats;
+use pim_telemetry::{Histogram, HistogramSnapshot, LATENCY_BUCKETS};
 use std::fmt;
 
 /// Accumulator the [`LearnEngine`](crate::LearnEngine) writes into.
@@ -20,8 +20,8 @@ pub struct LearnStats {
     /// Bits written into the MRAM backbone. Stays zero under the hybrid
     /// contract; tracked so the invariant is observable, not assumed.
     mram_write_bits: u64,
-    /// Simulated latency of each write-back (ns).
-    publish_latencies_ns: Vec<f64>,
+    /// Modelled latency of each write-back (s).
+    publish_modelled_latency: HistogramSnapshot,
     /// Lifetime adaptor budget, copied from the policy at engine build.
     budget_bits: f64,
 }
@@ -37,7 +37,7 @@ impl LearnStats {
             publishes: 0,
             sram: PeStats::new(),
             mram_write_bits: 0,
-            publish_latencies_ns: Vec::new(),
+            publish_modelled_latency: Histogram::new(&LATENCY_BUCKETS).snapshot(),
             budget_bits,
         }
     }
@@ -54,7 +54,8 @@ impl LearnStats {
     pub fn record_publish(&mut self, delta: &PeStats) {
         self.publishes += 1;
         self.sram += *delta;
-        self.publish_latencies_ns.push(delta.busy_time.as_ns());
+        self.publish_modelled_latency
+            .record(delta.busy_time.as_s(), 1);
     }
 
     /// Folds a (policy-authorized) backbone write in. The hybrid engine
@@ -91,7 +92,7 @@ impl LearnStats {
             write_energy: self.sram.energy.write,
             write_busy: self.sram.busy_time,
             write_cycles: self.sram.cycles,
-            publish_latency: LatencySummary::from_ns(&self.publish_latencies_ns),
+            publish_modelled_latency: self.publish_modelled_latency.clone(),
             budget_bits: self.budget_bits,
         }
     }
@@ -121,8 +122,9 @@ pub struct LearnReport {
     pub write_busy: Latency,
     /// Total write-back PE cycles.
     pub write_cycles: u64,
-    /// Distribution of per-publish write-back latencies.
-    pub publish_latency: LatencySummary,
+    /// Distribution of per-publish modelled write-back latency, in
+    /// seconds.
+    pub publish_modelled_latency: HistogramSnapshot,
     /// Lifetime adaptor write budget (cell-writes; infinite for SRAM).
     pub budget_bits: f64,
 }
@@ -173,7 +175,7 @@ impl fmt::Display for LearnReport {
             f,
             "{} steps ({} samples, mean loss {:.4}, acc {:.1}%), {} publishes; \
              writes: SRAM {} bits / MRAM {} bits, {} in {} ({} cycles), \
-             publish latency {}, budget used {:.2}%",
+             publish latency p50 {} p99 {}, budget used {:.2}%",
             self.steps,
             self.samples_trained,
             self.mean_loss,
@@ -184,7 +186,8 @@ impl fmt::Display for LearnReport {
             self.write_energy,
             self.write_busy,
             self.write_cycles,
-            self.publish_latency,
+            Latency::from_ns(self.publish_modelled_latency.quantile(0.50) * 1e9),
+            Latency::from_ns(self.publish_modelled_latency.quantile(0.99) * 1e9),
             100.0 * self.budget_used()
         )
     }
@@ -236,7 +239,11 @@ mod tests {
         assert_eq!(r.sram_write_bits, 400);
         assert_eq!(r.mram_write_bits, 0);
         assert_eq!(r.write_energy, Energy::from_pj(20.0));
-        assert_eq!(r.publish_latency.samples, 2);
+        assert_eq!(r.publish_modelled_latency.count(), 2);
+        // Nearest-rank p99 of [20, 60] ns is 60 ns, reported as the upper
+        // bound of its bucket, within the layout's 2^(1/16) bound.
+        let p99 = r.publish_modelled_latency.quantile(0.99);
+        assert!((60e-9..=60e-9 * 2f64.powf(1.0 / 16.0)).contains(&p99));
         assert!((r.budget_used() - 0.4).abs() < 1e-12);
         assert!(r.within_budget());
         assert!(r.update_edp() > 0.0);

@@ -29,9 +29,11 @@
 //!   [`Runtime::submit`] return [`RuntimeError::QueueFull`] immediately
 //!   (it never blocks); [`Runtime::shutdown`] stops intake, drains every
 //!   in-flight request so all tickets get answers, and joins the pool.
-//! * **Accounting** — per-request and per-batch simulated latency,
-//!   energy, and EDP from the `pim-device`/`pim-pe` cost models, rolled
-//!   up into a [`RuntimeStats`] snapshot ([`Runtime::stats`]).
+//! * **Accounting** — per-batch simulated energy and EDP from the
+//!   `pim-device`/`pim-pe` cost models, plus the per-request modelled
+//!   latency as a bounded, mergeable `pim-telemetry` histogram
+//!   ([`RuntimeStats::modelled_latency`]), rolled up into a
+//!   [`RuntimeStats`] snapshot ([`Runtime::stats`]).
 //! * **Telemetry** — [`RuntimeBuilder::telemetry`] attaches a shared
 //!   [`Telemetry`] bundle: per-stage latency histograms
 //!   (`queue`/`batch_form`/`compute`/`reply`), queue-depth and
@@ -45,7 +47,6 @@
 mod compiled;
 mod engine;
 mod error;
-pub mod metrics;
 mod queue;
 mod request;
 mod stats;
@@ -54,7 +55,6 @@ pub mod telemetry;
 pub use compiled::CompiledModel;
 pub use engine::{BatchPolicy, Runtime, RuntimeBuilder, RuntimeConfig, TunedDefaults};
 pub use error::RuntimeError;
-pub use metrics::LatencySummary;
 pub use pim_par::PoolCounters;
 pub use pim_telemetry::Telemetry;
 pub use request::{InferResponse, ModelId, Ticket};

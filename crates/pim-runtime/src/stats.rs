@@ -1,8 +1,8 @@
 //! Runtime-wide accounting and the snapshot clients read.
 
-use crate::metrics::LatencySummary;
 use pim_device::{edp, Energy, Latency};
 use pim_pe::PeStats;
+use pim_telemetry::{Histogram, HistogramSnapshot, LATENCY_BUCKETS};
 use std::fmt;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -23,8 +23,8 @@ struct Inner {
     model_swaps: u64,
     /// Aggregate simulated PE ledger across all batches.
     sim: PeStats,
-    /// Per-request simulated latency samples (ns).
-    latencies_ns: Vec<f64>,
+    /// Per-request modelled latency (s).
+    modelled_latency: HistogramSnapshot,
     queue_wait_sum: Duration,
     started: Instant,
 }
@@ -40,7 +40,7 @@ impl StatsCollector {
                 max_batch_size: 0,
                 model_swaps: 0,
                 sim: PeStats::new(),
-                latencies_ns: Vec::new(),
+                modelled_latency: empty_latency(),
                 queue_wait_sum: Duration::ZERO,
                 started: Instant::now(),
             }),
@@ -57,8 +57,7 @@ impl StatsCollector {
         g.max_batch_size = g.max_batch_size.max(size);
         g.sim += sim;
         // Every rider experiences the whole batch's simulated latency.
-        let ns = sim.busy_time.as_ns();
-        g.latencies_ns.extend(std::iter::repeat_n(ns, size));
+        g.modelled_latency.record(sim.busy_time.as_s(), size as u64);
         g.queue_wait_sum += queue_waits;
     }
 
@@ -75,9 +74,7 @@ impl StatsCollector {
     /// A consistent point-in-time snapshot.
     pub fn snapshot(&self) -> RuntimeStats {
         let g = self.inner.lock().expect("stats lock");
-        let latency = LatencySummary::from_ns(&g.latencies_ns);
         RuntimeStats {
-            latency_samples_ns: g.latencies_ns.clone(),
             requests_completed: g.completed,
             requests_rejected: g.rejected,
             batches: g.batches,
@@ -88,18 +85,18 @@ impl StatsCollector {
                 g.batch_size_sum as f64 / g.batches as f64
             },
             max_batch_size: g.max_batch_size,
-            p50_latency: latency.p50,
-            p99_latency: latency.p99,
-            mean_latency: latency.mean,
+            modelled_latency: g.modelled_latency.clone(),
             total_energy: g.sim.total_energy(),
             simulated_busy: g.sim.busy_time,
             edp: edp(g.sim.total_energy(), g.sim.busy_time),
             macs: g.sim.macs,
             pe_matvecs: g.sim.matvecs,
+            // u128 nanoseconds: a `u32` divisor would wrap to 0 at 2^32
+            // completions and panic under the lock.
             mean_queue_wait: if g.completed == 0 {
                 Duration::ZERO
             } else {
-                g.queue_wait_sum / g.completed as u32
+                Duration::from_nanos((g.queue_wait_sum.as_nanos() / u128::from(g.completed)) as u64)
             },
             wall_elapsed: g.started.elapsed(),
         }
@@ -121,12 +118,9 @@ pub struct RuntimeStats {
     pub mean_batch_size: f64,
     /// Largest batch dispatched.
     pub max_batch_size: usize,
-    /// Median per-request simulated latency.
-    pub p50_latency: Latency,
-    /// 99th-percentile per-request simulated latency.
-    pub p99_latency: Latency,
-    /// Mean per-request simulated latency.
-    pub mean_latency: Latency,
+    /// Distribution of per-request modelled PE latency, in seconds (each
+    /// rider of a batch sees the batch's simulated busy time).
+    pub modelled_latency: HistogramSnapshot,
     /// Total simulated energy across all batches.
     pub total_energy: Energy,
     /// Total simulated PE busy time (summed across workers).
@@ -141,10 +135,11 @@ pub struct RuntimeStats {
     pub mean_queue_wait: Duration,
     /// Wall-clock time since the runtime started.
     pub wall_elapsed: Duration,
-    /// The raw per-request simulated latency samples (ns) behind the
-    /// percentiles — carried so roll-ups can **merge** snapshots exactly
-    /// instead of approximating percentiles from percentiles.
-    pub latency_samples_ns: Vec<f64>,
+}
+
+/// An empty histogram over the shared latency layout.
+fn empty_latency() -> HistogramSnapshot {
+    Histogram::new(&LATENCY_BUCKETS).snapshot()
 }
 
 impl RuntimeStats {
@@ -167,9 +162,7 @@ impl RuntimeStats {
             model_swaps: 0,
             mean_batch_size: 0.0,
             max_batch_size: 0,
-            p50_latency: Latency::ZERO,
-            p99_latency: Latency::ZERO,
-            mean_latency: Latency::ZERO,
+            modelled_latency: empty_latency(),
             total_energy: Energy::ZERO,
             simulated_busy: Latency::ZERO,
             edp: 0.0,
@@ -177,23 +170,17 @@ impl RuntimeStats {
             pe_matvecs: 0,
             mean_queue_wait: Duration::ZERO,
             wall_elapsed: Duration::ZERO,
-            latency_samples_ns: Vec::new(),
         }
     }
 
     /// Merges two snapshots into the snapshot an imaginary single runtime
     /// serving both workloads would have produced: counters add, means
-    /// re-weight, percentiles are **recomputed from the pooled latency
-    /// samples** (not interpolated from the per-snapshot percentiles),
-    /// energy/busy ledgers add and the EDP is re-derived from the merged
-    /// totals. Wall-clock elapsed takes the max — replicas run
+    /// re-weight, the latency histograms add bucket by bucket (so their
+    /// quantiles are those of the pooled requests, not interpolated from
+    /// per-snapshot percentiles), energy/busy ledgers add and the EDP is
+    /// re-derived from the merged totals. Wall-clock elapsed takes the max — replicas run
     /// concurrently, their lifetimes don't stack.
     pub fn merge(&self, other: &RuntimeStats) -> RuntimeStats {
-        let mut samples =
-            Vec::with_capacity(self.latency_samples_ns.len() + other.latency_samples_ns.len());
-        samples.extend_from_slice(&self.latency_samples_ns);
-        samples.extend_from_slice(&other.latency_samples_ns);
-        let latency = LatencySummary::from_ns(&samples);
         let batches = self.batches + other.batches;
         let completed = self.requests_completed + other.requests_completed;
         let total_energy = self.total_energy + other.total_energy;
@@ -211,9 +198,7 @@ impl RuntimeStats {
                     / batches as f64
             },
             max_batch_size: self.max_batch_size.max(other.max_batch_size),
-            p50_latency: latency.p50,
-            p99_latency: latency.p99,
-            mean_latency: latency.mean,
+            modelled_latency: self.modelled_latency.merge(&other.modelled_latency),
             total_energy,
             simulated_busy,
             edp: edp(total_energy, simulated_busy),
@@ -229,7 +214,6 @@ impl RuntimeStats {
                 )
             },
             wall_elapsed: self.wall_elapsed.max(other.wall_elapsed),
-            latency_samples_ns: samples,
         }
     }
 }
@@ -257,8 +241,8 @@ impl fmt::Display for RuntimeStats {
             self.mean_batch_size,
             self.max_batch_size,
             self.requests_rejected,
-            self.p50_latency,
-            self.p99_latency,
+            Latency::from_ns(self.modelled_latency.quantile(0.50) * 1e9),
+            Latency::from_ns(self.modelled_latency.quantile(0.99) * 1e9),
             self.total_energy,
             self.edp,
             self.throughput_rps()
@@ -270,6 +254,15 @@ impl fmt::Display for RuntimeStats {
 mod tests {
     use super::*;
     use pim_device::EnergyLedger;
+
+    /// `exact ≤ got ≤ exact·2^(1/16)`: `got` is the upper bound of the
+    /// latency bucket holding `exact`, within the documented error bound.
+    fn assert_in_bucket_of(got: f64, exact: f64) {
+        assert!(
+            exact <= got && got <= exact * 2f64.powf(1.0 / 16.0),
+            "{got} s is not the bucket of {exact} s"
+        );
+    }
 
     fn batch_ledger(cycles: u64, ns: f64, pj: f64) -> PeStats {
         let mut energy = EnergyLedger::new();
@@ -302,8 +295,9 @@ mod tests {
         assert_eq!(s.max_batch_size, 3);
         assert!((s.mean_batch_size - 2.0).abs() < 1e-12);
         // Latency samples: [100, 100, 100, 300] ns.
-        assert_eq!(s.p50_latency, Latency::from_ns(100.0));
-        assert_eq!(s.p99_latency, Latency::from_ns(300.0));
+        assert_eq!(s.modelled_latency.count(), 4);
+        assert_in_bucket_of(s.modelled_latency.quantile(0.50), 100e-9);
+        assert_in_bucket_of(s.modelled_latency.quantile(0.99), 300e-9);
         assert_eq!(s.total_energy, Energy::from_pj(7.0));
         assert_eq!(s.macs, 20);
         assert!(s.edp > 0.0);
@@ -314,14 +308,16 @@ mod tests {
     fn empty_snapshot_is_all_zero() {
         let s = StatsCollector::new().snapshot();
         assert_eq!(s.requests_completed, 0);
-        assert_eq!(s.p99_latency, Latency::from_ns(0.0));
+        assert_eq!(s.modelled_latency.count(), 0);
+        assert_eq!(s.modelled_latency.quantile(0.99), 0.0);
+        assert_eq!(s.mean_queue_wait, Duration::ZERO);
         assert_eq!(s.mean_batch_size, 0.0);
         assert_eq!(s.throughput_rps(), 0.0);
     }
 
     /// Two per-replica collectors vs one collector fed the union of their
-    /// batches: `merge` must reproduce the flat computation — percentiles
-    /// from the pooled samples, not from the per-replica percentiles.
+    /// batches: `merge` must reproduce the flat computation — the latency
+    /// histogram of the pooled requests, not per-replica percentiles.
     #[test]
     fn merged_percentiles_pin_to_the_flat_sample_computation() {
         let a = StatsCollector::new();
@@ -358,22 +354,14 @@ mod tests {
         assert_eq!(merged.batches, want.batches);
         assert_eq!(merged.max_batch_size, want.max_batch_size);
         assert!((merged.mean_batch_size - want.mean_batch_size).abs() < 1e-12);
-        // The pinned part: pooled-sample percentiles, exactly.
-        assert_eq!(merged.p50_latency, want.p50_latency);
-        assert_eq!(merged.p99_latency, want.p99_latency);
-        assert_eq!(merged.mean_latency, want.mean_latency);
+        // The pinned part: the pooled latency histogram, exactly.
+        assert_eq!(merged.modelled_latency, want.modelled_latency);
         // Ledger sums and the re-derived EDP.
         assert_eq!(merged.total_energy, want.total_energy);
         assert_eq!(merged.simulated_busy, want.simulated_busy);
         assert_eq!(merged.edp, want.edp);
         assert_eq!(merged.macs, want.macs);
         assert_eq!(merged.pe_matvecs, want.pe_matvecs);
-        // Sample multiset survives the merge (order is concatenation).
-        let mut got = merged.latency_samples_ns.clone();
-        let mut flat_samples = want.latency_samples_ns.clone();
-        got.sort_by(f64::total_cmp);
-        flat_samples.sort_by(f64::total_cmp);
-        assert_eq!(got, flat_samples);
     }
 
     #[test]
@@ -383,15 +371,51 @@ mod tests {
         let s = c.snapshot();
         let merged = RuntimeStats::empty().merge(&s);
         assert_eq!(merged.requests_completed, s.requests_completed);
-        assert_eq!(merged.p50_latency, s.p50_latency);
         assert_eq!(merged.total_energy, s.total_energy);
-        assert_eq!(merged.latency_samples_ns, s.latency_samples_ns);
+        assert_eq!(merged.modelled_latency, s.modelled_latency);
 
         let summed: RuntimeStats = [s.clone(), s.clone(), s.clone()].iter().sum();
         assert_eq!(summed.requests_completed, 6);
         assert_eq!(summed.batches, 3);
-        assert_eq!(summed.p99_latency, s.p99_latency, "identical replicas");
+        assert_eq!(
+            summed.modelled_latency.quantile(0.99),
+            s.modelled_latency.quantile(0.99),
+            "identical replicas"
+        );
         let owned: RuntimeStats = vec![s.clone(), s].into_iter().sum();
         assert_eq!(owned.requests_completed, 4);
+    }
+
+    #[test]
+    fn latency_memory_stays_bounded_under_sustained_traffic() {
+        let c = StatsCollector::new();
+        c.record_batch(1, batch_ledger(10, 100.0, 1.0), Duration::from_micros(1));
+        let after_one = c.snapshot();
+        for i in 1..100_000u64 {
+            let ns = 50.0 + (i % 997) as f64;
+            c.record_batch(1, batch_ledger(10, ns, 1.0), Duration::from_micros(1));
+        }
+        let after_many = c.snapshot();
+        assert_eq!(after_many.modelled_latency.count(), 100_000);
+        // An empty window of a snapshot keeps its bucket vector, so equal
+        // empty windows mean equal bucket counts: the histogram did not
+        // grow with the traffic.
+        let buckets = |s: &RuntimeStats| s.modelled_latency.since(&s.modelled_latency);
+        assert_eq!(buckets(&after_many), buckets(&after_one));
+    }
+
+    #[test]
+    fn mean_queue_wait_survives_2_pow_32_completions() {
+        let c = StatsCollector::new();
+        c.record_batch(
+            1,
+            batch_ledger(10, 100.0, 1.0),
+            Duration::from_secs(1 << 33),
+        );
+        c.inner.lock().expect("stats lock").completed = 1 << 32;
+        // A `u32` cast of the count would divide by zero here and poison
+        // the lock for every later `record_batch`.
+        assert_eq!(c.snapshot().mean_queue_wait, Duration::from_secs(2));
+        c.record_batch(1, batch_ledger(10, 100.0, 1.0), Duration::ZERO);
     }
 }

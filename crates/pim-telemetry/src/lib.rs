@@ -11,6 +11,12 @@
 //!   [`Gauge`] (set/add), and [`Histogram`] (fixed buckets chosen at
 //!   registration). [`TelemetryRegistry::render_prometheus`] renders the
 //!   whole registry in the Prometheus text exposition format.
+//! * **One latency summary** — every latency distribution in the
+//!   workspace, wall or modelled, is a [`Histogram`] or a plain
+//!   [`HistogramSnapshot`] over the [`LATENCY_BUCKETS`] layout: bounded
+//!   memory, mergeable across replicas, and quantiles within a stated
+//!   error bound. The ledgers (`RuntimeStats`, `LearnReport`) carry
+//!   snapshots instead of raw sample vectors.
 //! * **[`Tracer`]** — a span/event recorder backed by a bounded ring
 //!   buffer: when full, the oldest events are dropped (and counted), so
 //!   tracing never grows without bound and never blocks the hot path for
@@ -48,7 +54,7 @@ pub mod trace;
 
 pub use metrics::{
     exponential_buckets, Counter, Gauge, Histogram, HistogramSnapshot, MetricKind,
-    TelemetryRegistry,
+    TelemetryRegistry, LATENCY_BUCKETS,
 };
 pub use trace::{ActiveSpan, TraceDump, TraceEvent, Tracer};
 

@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LazyLock, Mutex};
 
 /// An atomic `f64` cell (bit-pattern CAS on an `AtomicU64`).
 #[derive(Debug, Default)]
@@ -92,11 +92,14 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket histogram (bucket bounds chosen at registration).
+/// A fixed-bucket histogram (bucket bounds chosen at construction).
 ///
-/// Observation cost is a linear scan of the bounds (histograms here have
-/// ~a dozen buckets) plus three atomic updates. There is no per-sample
-/// allocation and no lock.
+/// Observation cost is a binary search of the bounds plus three atomic
+/// updates. There is no per-sample allocation and no lock, so memory stays
+/// fixed however many samples arrive. Registry histograms come from
+/// [`TelemetryRegistry::histogram`]; [`Histogram::new`] builds a standalone
+/// one (e.g. over [`LATENCY_BUCKETS`]) for a caller that only needs the
+/// summary.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     inner: Arc<HistogramCore>,
@@ -106,14 +109,30 @@ pub struct Histogram {
 struct HistogramCore {
     /// Finite upper bounds, strictly ascending. The implicit `+Inf`
     /// bucket lives at `counts[bounds.len()]`.
-    bounds: Vec<f64>,
+    bounds: Arc<[f64]>,
     counts: Vec<AtomicU64>,
     sum: Cell,
     count: AtomicU64,
 }
 
+/// Index of the bucket holding `v`: the first bound `>= v`, or the `+Inf`
+/// bucket (`bounds.len()`) past the last bound or for NaN.
+fn bucket_index(bounds: &[f64], v: f64) -> usize {
+    if v.is_nan() {
+        bounds.len()
+    } else {
+        bounds.partition_point(|&b| b < v)
+    }
+}
+
 impl Histogram {
-    fn new(bounds: &[f64]) -> Self {
+    /// A standalone histogram over the given finite bucket bounds
+    /// (strictly ascending; `+Inf` is implicit).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bounds` is empty, unsorted, or not finite.
+    pub fn new(bounds: &[f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
@@ -121,7 +140,7 @@ impl Histogram {
         );
         Self {
             inner: Arc::new(HistogramCore {
-                bounds: bounds.to_vec(),
+                bounds: bounds.into(),
                 counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
                 sum: Cell::default(),
                 count: AtomicU64::new(0),
@@ -132,12 +151,7 @@ impl Histogram {
     /// Records one sample.
     pub fn observe(&self, v: f64) {
         let core = &*self.inner;
-        let idx = core
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(core.bounds.len());
-        core.counts[idx].fetch_add(1, Ordering::Relaxed);
+        core.counts[bucket_index(&core.bounds, v)].fetch_add(1, Ordering::Relaxed);
         core.sum.add(v);
         core.count.fetch_add(1, Ordering::Relaxed);
     }
@@ -162,35 +176,10 @@ impl Histogram {
         }
     }
 
-    /// Upper bound of the bucket containing the `q`-quantile (`q` in
-    /// `[0, 1]`) — a bucketed over-estimate, good enough for live
-    /// dashboards. Samples past the last finite bound report that bound.
-    /// Returns 0 when empty.
+    /// The bucketed `q`-quantile of everything observed so far; see
+    /// [`HistogramSnapshot::quantile`].
     pub fn quantile(&self, q: f64) -> f64 {
-        let core = &*self.inner;
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (q * total as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for (i, c) in core.counts.iter().enumerate() {
-            cumulative += c.load(Ordering::Relaxed);
-            if cumulative >= target {
-                return core.bounds[i.min(core.bounds.len() - 1)];
-            }
-        }
-        core.bounds[core.bounds.len() - 1]
-    }
-
-    /// Per-bucket counts (finite buckets then the `+Inf` bucket), for
-    /// rendering.
-    fn bucket_counts(&self) -> Vec<u64> {
-        self.inner
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+        self.snapshot().quantile(q)
     }
 
     /// A point-in-time copy of the cumulative state. Two snapshots of the
@@ -199,24 +188,32 @@ impl Histogram {
     /// read side a pressure sampler needs from a forever-cumulative
     /// histogram.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let core = &*self.inner;
         HistogramSnapshot {
-            bounds: self.inner.bounds.clone(),
-            counts: self.bucket_counts(),
+            bounds: Arc::clone(&core.bounds),
+            counts: core
+                .counts
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect(),
             sum: self.sum(),
             count: self.count(),
         }
     }
 }
 
-/// A point-in-time copy of a [`Histogram`]'s cumulative buckets.
+/// A point-in-time copy of a [`Histogram`]'s cumulative buckets, and a
+/// plain (non-atomic) histogram in its own right.
 ///
-/// Supports the same bucketed [`quantile`](Self::quantile) estimate as the
-/// live histogram, plus windowing: `later.since(&earlier)` is the
-/// distribution of the samples observed between the two snapshots.
+/// A snapshot can keep [`record`](Self::record)ing, so a ledger that is
+/// already behind a lock or `&mut` holds one by value instead of sharing
+/// atomics. Snapshots over the same bounds [`merge`](Self::merge) (the
+/// union of two sample sets) and difference with [`since`](Self::since)
+/// (the samples observed between two snapshots of one histogram).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Finite upper bounds; the `+Inf` bucket is `counts[bounds.len()]`.
-    bounds: Vec<f64>,
+    bounds: Arc<[f64]>,
     counts: Vec<u64>,
     sum: f64,
     count: u64,
@@ -242,22 +239,52 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Upper bound of the bucket containing the `q`-quantile — the same
-    /// bucketed over-estimate as [`Histogram::quantile`]. Returns 0 when
-    /// the snapshot is empty.
+    /// Records `n` samples of value `v` at once (a batch whose `n` riders
+    /// all saw the same latency costs one bucket update, not `n`).
+    pub fn record(&mut self, v: f64, n: u64) {
+        self.counts[bucket_index(&self.bounds, v)] += n;
+        self.sum += v * n as f64;
+        self.count += n;
+    }
+
+    /// Upper bound of the bucket holding the nearest-rank `q`-quantile
+    /// (`q` in `[0, 1]`): the sample at 1-indexed rank `⌈q·n⌉`, clamped to
+    /// `[1, n]`. Returns 0 when the snapshot is empty.
+    ///
+    /// **Error bound.** A sample in `(bounds[i-1], bounds[i]]` reports
+    /// `bounds[i]`, so the answer never under-estimates the exact
+    /// nearest-rank sample, and exceeds it by a factor below the ratio of
+    /// adjacent bounds: by under `2^(1/16) − 1 ≈ 4.4%` for
+    /// [`LATENCY_BUCKETS`].
+    /// The bound holds for samples above the first bound and at or below
+    /// the last; smaller samples report the first bound, and larger ones
+    /// report the last bound (an under-estimate).
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
         let target = (q * self.count as f64).ceil().max(1.0) as u64;
+        let last = self.bounds.len() - 1;
         let mut cumulative = 0u64;
         for (i, c) in self.counts.iter().enumerate() {
             cumulative += c;
             if cumulative >= target {
-                return self.bounds[i.min(self.bounds.len() - 1)];
+                return self.bounds[i.min(last)];
             }
         }
-        self.bounds[self.bounds.len() - 1]
+        self.bounds[last]
+    }
+
+    /// The union of two snapshots: bucket-wise sum of the counts, totals
+    /// added. Commutative; it equals recording both sample sets into one
+    /// histogram, except that the two `f64` sums are added as totals, so
+    /// the sum matches a single histogram's only up to rounding order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two snapshots have different bucket bounds.
+    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
+        self.zip_with(other, "merged", |a, b| a + b, self.sum + other.sum)
     }
 
     /// The window between `earlier` and `self`: bucket-wise saturating
@@ -270,20 +297,35 @@ impl HistogramSnapshot {
     /// Panics if the two snapshots have different bucket bounds — they
     /// cannot be from the same histogram.
     pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+        self.zip_with(
+            earlier,
+            "differenced",
+            u64::saturating_sub,
+            (self.sum - earlier.sum).max(0.0),
+        )
+    }
+
+    fn zip_with(
+        &self,
+        other: &HistogramSnapshot,
+        verb: &str,
+        op: impl Fn(u64, u64) -> u64,
+        sum: f64,
+    ) -> HistogramSnapshot {
         assert_eq!(
-            self.bounds, earlier.bounds,
-            "snapshots of different histograms cannot be differenced"
+            self.bounds, other.bounds,
+            "snapshots of different histograms cannot be {verb}"
         );
         HistogramSnapshot {
-            bounds: self.bounds.clone(),
+            bounds: Arc::clone(&self.bounds),
             counts: self
                 .counts
                 .iter()
-                .zip(&earlier.counts)
-                .map(|(now, was)| now.saturating_sub(*was))
+                .zip(&other.counts)
+                .map(|(&a, &b)| op(a, b))
                 .collect(),
-            sum: (self.sum - earlier.sum).max(0.0),
-            count: self.count.saturating_sub(earlier.count),
+            sum,
+            count: op(self.count, other.count),
         }
     }
 }
@@ -298,6 +340,14 @@ pub fn exponential_buckets(start: f64, factor: f64, count: usize) -> Vec<f64> {
     assert!(start > 0.0 && factor > 1.0 && count >= 1, "bad bucket spec");
     (0..count).map(|i| start * factor.powi(i as i32)).collect()
 }
+
+/// The one bucket layout for latency summaries, in seconds: 640 bounds a
+/// factor `2^(1/16)` apart, from 1 ns to about 1053 s. Modelled PE
+/// latencies (ns to µs) and wall serving latencies (µs to s) share it, so
+/// their snapshots merge, and [`HistogramSnapshot::quantile`]
+/// over-estimates either by at most `2^(1/16) − 1 ≈ 4.4%`.
+pub static LATENCY_BUCKETS: LazyLock<Vec<f64>> =
+    LazyLock::new(|| exponential_buckets(1e-9, 2f64.powf(1.0 / 16.0), 640));
 
 /// What kind of metric a registry entry is.
 #[derive(Debug, Clone)]
@@ -541,11 +591,11 @@ fn render_entry(out: &mut String, e: &Entry) {
             );
         }
         MetricKind::Histogram(h) => {
-            let counts = h.bucket_counts();
+            let snap = h.snapshot();
             let mut cumulative = 0u64;
-            for (i, c) in counts.iter().enumerate() {
+            for (i, c) in snap.counts.iter().enumerate() {
                 cumulative += c;
-                let le = match h.inner.bounds.get(i) {
+                let le = match snap.bounds.get(i) {
                     Some(b) => b.to_string(),
                     None => "+Inf".to_string(),
                 };
@@ -562,14 +612,14 @@ fn render_entry(out: &mut String, e: &Entry) {
                 "{}_sum{} {}",
                 e.name,
                 label_set(&e.labels, None),
-                h.sum()
+                snap.sum
             );
             let _ = writeln!(
                 out,
                 "{}_count{} {}",
                 e.name,
                 label_set(&e.labels, None),
-                h.count()
+                snap.count
             );
         }
     }
@@ -810,6 +860,184 @@ mod tests {
         let a = Histogram::new(&[1.0]).snapshot();
         let b = Histogram::new(&[2.0]).snapshot();
         let _ = a.since(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "different histograms")]
+    fn mismatched_snapshots_refuse_to_merge() {
+        let a = Histogram::new(&[1.0]).snapshot();
+        let b = Histogram::new(&[2.0]).snapshot();
+        let _ = a.merge(&b);
+    }
+
+    /// `2^(1/16)`: the ratio of adjacent [`LATENCY_BUCKETS`] bounds.
+    fn latency_factor() -> f64 {
+        2f64.powf(1.0 / 16.0)
+    }
+
+    /// A snapshot over [`LATENCY_BUCKETS`] with `samples` recorded once each.
+    fn latency_snapshot(samples: &[f64]) -> HistogramSnapshot {
+        let mut s = Histogram::new(&LATENCY_BUCKETS).snapshot();
+        for &v in samples {
+            s.record(v, 1);
+        }
+        s
+    }
+
+    /// `got` is the upper bound of the latency bucket holding `exact`, so
+    /// it sits within the documented error bound above it.
+    fn assert_bucket_of(got: f64, exact: f64) {
+        assert_eq!(got, LATENCY_BUCKETS[bucket_index(&LATENCY_BUCKETS, exact)]);
+        assert!(
+            exact <= got && got <= exact * latency_factor(),
+            "{got} vs {exact}"
+        );
+    }
+
+    #[test]
+    fn latency_buckets_span_1ns_to_about_1000s() {
+        let b = &*LATENCY_BUCKETS;
+        assert_eq!(b.len(), 640);
+        assert_eq!(b[0], 1e-9);
+        assert!(b[639] > 1000.0 && b[639] < 1100.0, "{}", b[639]);
+    }
+
+    #[test]
+    fn empty_summary_is_all_zero() {
+        // An empty snapshot answers exactly 0 for every quantile and the
+        // mean: not NaN, not a panic, not an Option.
+        let s = latency_snapshot(&[]);
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.sum(), 0.0);
+        assert_eq!(s.mean(), 0.0);
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(s.quantile(q), 0.0);
+        }
+    }
+
+    #[test]
+    fn summary_matches_hand_computed_percentiles() {
+        // Unsorted on purpose: [300, 100, 100, 100] ns.
+        let s = latency_snapshot(&[300e-9, 100e-9, 100e-9, 100e-9]);
+        assert_eq!(s.count(), 4);
+        assert_bucket_of(s.quantile(0.5), 100e-9);
+        assert_bucket_of(s.quantile(0.99), 300e-9);
+        assert!((s.mean() - 150e-9).abs() < 1e-20);
+    }
+
+    #[test]
+    fn percentile_takes_the_ceil_rank_sample() {
+        let us = [1e-6, 2e-6, 3e-6, 4e-6, 5e-6];
+        let s = latency_snapshot(&us);
+        assert_bucket_of(s.quantile(0.0), 1e-6);
+        assert_bucket_of(s.quantile(0.5), 3e-6);
+        assert_bucket_of(s.quantile(1.0), 5e-6);
+    }
+
+    #[test]
+    fn single_sample_is_every_percentile() {
+        let s = latency_snapshot(&[42e-9]);
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            assert_bucket_of(s.quantile(q), 42e-9);
+        }
+        assert_eq!(s.mean(), 42e-9);
+    }
+
+    #[test]
+    fn two_samples_put_the_median_on_the_lower_one() {
+        // Nearest-rank: rank ⌈0.5·2⌉ = 1 → the smaller sample's bucket.
+        let s = latency_snapshot(&[200e-9, 100e-9]);
+        assert_bucket_of(s.quantile(0.5), 100e-9);
+        assert_bucket_of(s.quantile(0.95), 200e-9);
+        assert_bucket_of(s.quantile(0.99), 200e-9);
+    }
+
+    #[test]
+    fn four_samples_pin_all_ranks() {
+        // ⌈0.50·4⌉ = 2 → 20, ⌈0.95·4⌉ = 4 → 40, ⌈0.99·4⌉ = 4 → 40.
+        let s = latency_snapshot(&[40e-6, 10e-6, 30e-6, 20e-6]);
+        assert_bucket_of(s.quantile(0.5), 20e-6);
+        assert_bucket_of(s.quantile(0.95), 40e-6);
+        assert_bucket_of(s.quantile(0.99), 40e-6);
+    }
+
+    #[test]
+    fn hundred_samples_hit_the_exact_ranks() {
+        // 1..=100 µs shuffled; nearest-rank of p on n = 100 is 100·p µs.
+        let samples: Vec<f64> = (0..100)
+            .map(|i| ((i * 37) % 100 + 1) as f64 * 1e-6)
+            .collect();
+        let s = latency_snapshot(&samples);
+        assert_eq!(s.count(), 100);
+        assert_bucket_of(s.quantile(0.5), 50e-6);
+        assert_bucket_of(s.quantile(0.95), 95e-6);
+        assert_bucket_of(s.quantile(0.99), 99e-6);
+    }
+
+    #[test]
+    fn weighted_record_equals_repeated_records() {
+        let mut once = latency_snapshot(&[]);
+        once.record(3e-6, 5);
+        assert_eq!(once, latency_snapshot(&[3e-6; 5]));
+        // The atomic histogram's standalone constructor agrees too.
+        let h = Histogram::new(&LATENCY_BUCKETS);
+        for _ in 0..5 {
+            h.observe(3e-6);
+        }
+        assert_eq!(h.snapshot(), once);
+    }
+
+    mod latency_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Exact nearest-rank quantile of sorted samples: the sample at
+        /// 1-indexed rank `⌈q·n⌉`, clamped to `[1, n]`.
+        fn exact_rank(sorted: &[f64], q: f64) -> f64 {
+            let n = sorted.len();
+            let rank = (q * n as f64).ceil() as usize;
+            sorted[rank.clamp(1, n) - 1]
+        }
+
+        proptest! {
+            #[test]
+            fn quantiles_bound_the_exact_rank_and_merge_is_the_union(
+                grid in prop_oneof![1usize..3, 3usize..65]
+                    .prop_flat_map(|n| proptest::collection::vec((1u64..1024, 0i32..30), n)),
+                ties in 0u64..4,
+                cut in 0usize..65,
+            ) {
+                // Samples m·2^-e seconds: between ~1.9 ns and 1023 s, inside
+                // the layout's error-bounded range, and on a dyadic grid so
+                // every f64 sum below is exact and the comparisons test
+                // bucket arithmetic, not summation order.
+                let mut samples: Vec<f64> = grid
+                    .iter()
+                    .map(|&(m, e)| m as f64 * 2f64.powi(-e))
+                    .collect();
+                // Ties: the first sample recorded again with one weight.
+                let mut union = latency_snapshot(&samples);
+                union.record(samples[0], ties);
+                samples.extend(std::iter::repeat_n(samples[0], ties as usize));
+
+                let mut sorted = samples.clone();
+                sorted.sort_by(f64::total_cmp);
+                for q in [0.5, 0.95, 0.99] {
+                    let exact = exact_rank(&sorted, q);
+                    let hist = union.quantile(q);
+                    prop_assert!(
+                        exact <= hist && hist <= exact * latency_factor(),
+                        "q={q} exact={exact} hist={hist}"
+                    );
+                }
+
+                let cut = cut.min(samples.len());
+                let a = latency_snapshot(&samples[..cut]);
+                let b = latency_snapshot(&samples[cut..]);
+                prop_assert_eq!(a.merge(&b), b.merge(&a));
+                prop_assert_eq!(a.merge(&b), union);
+            }
+        }
     }
 
     #[test]

@@ -124,9 +124,12 @@ fn main() {
         stats.batches, stats.mean_batch_size, stats.max_batch_size
     );
     println!("  rejected (retried) : {}", stats.requests_rejected);
-    println!("  sim latency p50    : {}", stats.p50_latency);
-    println!("  sim latency p99    : {}", stats.p99_latency);
-    println!("  sim latency mean   : {}", stats.mean_latency);
+    // Modelled PE latency, in seconds.
+    let sim = &stats.modelled_latency;
+    let secs = Duration::from_secs_f64;
+    println!("  sim latency p50    : {:?}", secs(sim.quantile(0.50)));
+    println!("  sim latency p99    : {:?}", secs(sim.quantile(0.99)));
+    println!("  sim latency mean   : {:?}", secs(sim.mean()));
     println!("  mean queue wait    : {:?}", stats.mean_queue_wait);
     println!("  total PE energy    : {}", stats.total_energy);
     println!("  total PE busy time : {}", stats.simulated_busy);

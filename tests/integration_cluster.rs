@@ -100,15 +100,12 @@ fn one_replica_cluster_is_bit_exact_with_a_bare_runtime() {
         assert_eq!(stats.batches, bare_stats.batches);
         assert_eq!(stats.mean_batch_size, bare_stats.mean_batch_size);
         assert_eq!(stats.max_batch_size, bare_stats.max_batch_size);
-        assert_eq!(stats.p50_latency, bare_stats.p50_latency);
-        assert_eq!(stats.p99_latency, bare_stats.p99_latency);
-        assert_eq!(stats.mean_latency, bare_stats.mean_latency);
+        assert_eq!(stats.modelled_latency, bare_stats.modelled_latency);
         assert_eq!(stats.total_energy, bare_stats.total_energy);
         assert_eq!(stats.simulated_busy, bare_stats.simulated_busy);
         assert_eq!(stats.edp, bare_stats.edp);
         assert_eq!(stats.macs, bare_stats.macs);
         assert_eq!(stats.pe_matvecs, bare_stats.pe_matvecs);
-        assert_eq!(stats.latency_samples_ns, bare_stats.latency_samples_ns);
     }
 
     // Telemetry counters: the cluster's replica-0-labelled series carry

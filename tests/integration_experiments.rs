@@ -135,22 +135,39 @@ fn write_fault_sweep_is_deterministic() {
 
 #[test]
 fn scheduler_wave_model_matches_mapper_ceiling_arithmetic() {
-    // The mapper's analytic per-layer latency uses ceil(rows/P)+3 per
-    // matvec; the SIMT scheduler's wave decomposition of the same uniform
-    // tile set must agree exactly.
-    use pim_arch::scheduler::{Schedule, TileOp};
-    for (total_rows, pes) in [(4096u64, 8usize), (1000, 16), (128, 128)] {
-        let rows_per_pe = total_rows.div_ceil(pes as u64);
-        let analytic = rows_per_pe + 3;
-        // One op per PE-sized row chunk, each costing its row count + fill.
-        let ops: Vec<TileOp> = (0..pes)
-            .map(|i| {
-                let start = i as u64 * rows_per_pe;
-                let rows = rows_per_pe.min(total_rows.saturating_sub(start));
-                TileOp::new(rows.max(1) + 3)
-            })
-            .collect();
-        let schedule = Schedule::build(&ops, pes);
-        assert_eq!(schedule.makespan_cycles(), analytic, "{total_rows}/{pes}");
+    // The SIMT wave model of a layer streamed over P PEs costs
+    // passes·(⌈rows/P⌉ + 3) cycles: each PE holds at most ⌈rows/P⌉ rows
+    // and the pipeline adds 3 fill cycles per pass. Pin the mapper's own
+    // dense-MRAM roll-up (`Deployment::latency`) to it.
+    use pim_arch::baseline::DenseMacro;
+    use pim_arch::workload::{LayerShape, ModelProfile};
+    use pim_arch::Mapper;
+    use pim_device::Latency;
+    let dense = DenseMacro::iscas23_mram();
+    let node = dense.node();
+    let passes = 2u64;
+    for (total_rows, pes) in [(4096u64, 8u64), (1000, 16), (128, 128)] {
+        let wave = passes * (total_rows.div_ceil(pes) + 3);
+        // A reduction of one PE row width stores one row per output, so
+        // `outputs` is the layer's row count.
+        let layer = LayerShape::new(
+            "wave",
+            dense.cols_per_pe(),
+            total_rows as usize,
+            passes as usize,
+        );
+        let model = ModelProfile::new("wave", vec![layer]);
+        // A budget a sliver above the wave makespan provisions exactly P
+        // PEs: ⌈rows / (⌈rows/P⌉ + sliver)⌉ = P for every case here.
+        let budget = Latency::from_ns((wave as f64 + 1e-3) * node.cycle_ns());
+        let deployment = Mapper::dac24()
+            .map_dense_mram(&model, budget)
+            .expect("one-layer model maps");
+        assert_eq!(deployment.pe_count as u64, pes, "{total_rows}/{pes}");
+        assert_eq!(
+            deployment.latency,
+            Latency::from_cycles(wave, node.clock_mhz()),
+            "{total_rows}/{pes}"
+        );
     }
 }
