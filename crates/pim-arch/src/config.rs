@@ -1,9 +1,9 @@
 //! Declarative, validated architecture configuration.
 //!
-//! Every hardware and runtime choice the stack used to hard-code — the
-//! paper's PE tile dimensions, the core/bank organisation, the N:M
-//! sparsity pattern, weight precision, and the serving worker/thread/batch
-//! split — is collected here as one plain-data [`ArchConfig`] value,
+//! Every hardware choice the stack used to hard-code — the paper's PE tile
+//! dimensions, the core/bank organisation, the N:M sparsity pattern and
+//! weight precision — is collected here as one plain-data [`ArchConfig`]
+//! value,
 //! ZigZag `MemoryInstance`-hierarchy style: each level of the machine is a
 //! struct of numbers, and a configuration is the composition of levels.
 //!
@@ -64,13 +64,6 @@ pub enum ConfigError {
         /// (`pairs_per_row × (weight_bits + index_bits)`).
         needed_bits: usize,
     },
-    /// A runtime sizing knob is zero.
-    ZeroRuntimeKnob {
-        /// Which knob: `"workers"`, `"par_threads"`, `"max_batch"`,
-        /// `"spawn_threshold"`, or
-        /// `"queue_capacity"`.
-        knob: &'static str,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -104,7 +97,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "mram packing needs {needed_bits} bits per row but the row is {row_bits} bits"
             ),
-            Self::ZeroRuntimeKnob { knob } => write!(f, "runtime knob '{knob}' must be >= 1"),
         }
     }
 }
@@ -117,9 +109,8 @@ impl From<GeometryError> for ConfigError {
     }
 }
 
-/// One complete design point of the hybrid accelerator **and** its serving
-/// runtime: PE tile geometries, core organisation, sparsity pattern, and
-/// the worker/thread/batch split. Plain data — construct it, mutate the
+/// One complete design point of the hybrid accelerator: PE tile
+/// geometries, core organisation and sparsity pattern. Plain data — construct it, mutate the
 /// public fields or chain the `with_*` helpers, then [`validate`] before
 /// use. See the [module docs](self) for the rationale.
 ///
@@ -134,36 +125,18 @@ pub struct ArchConfig {
     pub geometry: CoreGeometry,
     /// The N:M sparsity pattern both sparse branches compress with.
     pub pattern: NmPattern,
-    /// Serving worker threads (each owns private PE replicas).
-    pub workers: usize,
-    /// Width of the shared intra-request compute pool.
-    pub par_threads: usize,
-    /// Per-batch rider cap of the coalescing batcher.
-    pub max_batch: usize,
-    /// Bound of the serving request queue (admission control).
-    pub queue_capacity: usize,
-    /// Minimum estimated scalar ops a fan-out must carry before the
-    /// compute pool dispatches it to workers; smaller jobs run inline on
-    /// the caller (cost-aware granularity).
-    pub spawn_threshold: u64,
 }
 
 impl ArchConfig {
     /// The paper's design point: 128×96 SRAM PEs, 1024×512 MRAM PEs at a
-    /// 42-pair packing, 4×4×4×4 cores, 1:4 sparsity, and the runtime
-    /// defaults every prior PR shipped (4 workers, 8-rider batches, a
-    /// 256-deep queue, auto-sized pool). Valid by construction.
+    /// 42-pair packing, 4×4×4×4 cores and 1:4 sparsity. Valid by
+    /// construction.
     pub fn dac24() -> Self {
         Self {
             sram: SramPeConfig::dac24(),
             mram: MramPeConfig::dac24(),
             geometry: CoreGeometry::dac24(),
             pattern: NmPattern::one_of_four(),
-            workers: 4,
-            par_threads: 1,
-            max_batch: 8,
-            queue_capacity: 256,
-            spawn_threshold: 32_768,
         }
     }
 
@@ -191,33 +164,13 @@ impl ArchConfig {
         self
     }
 
-    /// Replaces the serving worker / compute-pool split.
-    pub fn with_parallelism(mut self, workers: usize, par_threads: usize) -> Self {
-        self.workers = workers;
-        self.par_threads = par_threads;
-        self
-    }
-
-    /// Replaces the batching policy knobs.
-    pub fn with_batching(mut self, max_batch: usize, queue_capacity: usize) -> Self {
-        self.max_batch = max_batch;
-        self.queue_capacity = queue_capacity;
-        self
-    }
-
-    /// Replaces the compute pool's inline-vs-dispatch cost threshold.
-    pub fn with_spawn_threshold(mut self, spawn_threshold: u64) -> Self {
-        self.spawn_threshold = spawn_threshold;
-        self
-    }
-
     /// Checks every cross-field invariant, returning the first violation.
     ///
     /// # Errors
     ///
     /// See [`ConfigError`] — degenerate tile/geometry dimensions, zero
-    /// precisions, a pattern too wide for a hardware index field, an MRAM
-    /// packing overflowing its row, or a zero runtime knob.
+    /// precisions, a pattern too wide for a hardware index field, or an
+    /// MRAM packing overflowing its row.
     pub fn validate(&self) -> Result<(), ConfigError> {
         CoreGeometry::new(self.geometry.banks, self.geometry.subarrays)?;
         if self.sram.rows == 0 || self.sram.column_groups == 0 {
@@ -263,21 +216,6 @@ impl ArchConfig {
                 needed_bits,
             });
         }
-        for (knob, v) in [
-            ("workers", self.workers),
-            ("par_threads", self.par_threads),
-            ("max_batch", self.max_batch),
-            ("queue_capacity", self.queue_capacity),
-        ] {
-            if v == 0 {
-                return Err(ConfigError::ZeroRuntimeKnob { knob });
-            }
-        }
-        if self.spawn_threshold == 0 {
-            return Err(ConfigError::ZeroRuntimeKnob {
-                knob: "spawn_threshold",
-            });
-        }
         Ok(())
     }
 
@@ -306,7 +244,7 @@ impl ArchConfig {
     /// usable as a bench-entry name or telemetry label.
     pub fn label(&self) -> String {
         format!(
-            "p{}of{}_s{}x{}_w{}_m{}x{}_k{}_w{}t{}b{}c{}",
+            "p{}of{}_s{}x{}_w{}_m{}x{}_k{}",
             self.pattern.n(),
             self.pattern.m(),
             self.sram.rows,
@@ -315,10 +253,6 @@ impl ArchConfig {
             self.mram.rows,
             self.mram.pairs_per_row,
             self.mram.weight_bits,
-            self.workers,
-            self.par_threads,
-            self.max_batch,
-            self.spawn_threshold,
         )
     }
 }
@@ -333,7 +267,7 @@ impl fmt::Display for ArchConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} sparse, sram {}x{}@{}b, mram {}x{} pairs@{}b, {}, {} workers x {} pool threads, batch {} / queue {}, spawn >= {} ops",
+            "{} sparse, sram {}x{}@{}b, mram {}x{} pairs@{}b, {}",
             self.pattern,
             self.sram.rows,
             self.sram.column_groups,
@@ -342,11 +276,6 @@ impl fmt::Display for ArchConfig {
             self.mram.pairs_per_row,
             self.mram.weight_bits,
             self.geometry,
-            self.workers,
-            self.par_threads,
-            self.max_batch,
-            self.queue_capacity,
-            self.spawn_threshold,
         )
     }
 }
@@ -423,29 +352,6 @@ mod tests {
         // 512 / (4 + 4) = 64 pairs per row.
         assert_eq!(cfg.mram.pairs_per_row, 64);
         assert_eq!(cfg.validate(), Ok(()));
-    }
-
-    #[test]
-    fn zero_runtime_knobs_are_rejected() {
-        let cfg = ArchConfig::dac24().with_parallelism(0, 2);
-        assert_eq!(
-            cfg.validate(),
-            Err(ConfigError::ZeroRuntimeKnob { knob: "workers" })
-        );
-        let cfg = ArchConfig::dac24().with_batching(8, 0);
-        assert_eq!(
-            cfg.validate(),
-            Err(ConfigError::ZeroRuntimeKnob {
-                knob: "queue_capacity"
-            })
-        );
-        let cfg = ArchConfig::dac24().with_spawn_threshold(0);
-        assert_eq!(
-            cfg.validate(),
-            Err(ConfigError::ZeroRuntimeKnob {
-                knob: "spawn_threshold"
-            })
-        );
     }
 
     #[test]

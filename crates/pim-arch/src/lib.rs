@@ -14,8 +14,8 @@
 //! # Modules
 //!
 //! * [`config`] — declarative, validated [`config::ArchConfig`] design
-//!   points (tile dims, bank organisation, N:M pattern, precision,
-//!   worker/thread/batch split) gating the `pim-dse` sweeps.
+//!   points (tile dims, bank organisation, N:M pattern, precision)
+//!   gating the `pim-dse` sweep.
 //! * [`geometry`] — core/bank/sub-array organisation and capacity.
 //! * [`workload`] — [`workload::ModelProfile`] layer-shape descriptions,
 //!   including a ResNet-50-scale profile matching the paper's ~26 MB

@@ -1,7 +1,7 @@
 //! CI regression gate over the `BENCH_kernels.json` baseline.
 //!
 //! ```text
-//! bench-gate <committed.json> <fresh.json> [tuned.json]
+//! bench-gate <committed.json> <fresh.json>
 //! ```
 //!
 //! Compares the committed baseline against a freshly regenerated one and
@@ -16,12 +16,7 @@
 //!   timings) must stay within [`MAX_DRIFT`]× of the committed values in
 //!   either direction. Raw `ns_per_iter` entries are never compared —
 //!   absolute wall-clock varies with the runner and would flake.
-//! * **Tuned defaults** (optional third argument) — an absent
-//!   `TUNED.json` is tolerated (the sweep simply has not been committed),
-//!   but a present-and-malformed one fails the gate: a runtime would
-//!   silently ignore broken tuned defaults, so CI must not.
 
-use pim_bench::json::JsonValue;
 use pim_bench::BenchDoc;
 use std::process::ExitCode;
 
@@ -254,86 +249,15 @@ fn check_parallel_floor(fresh: &BenchDoc, failures: &mut Vec<String>) {
     }
 }
 
-/// Structural validation of a `TUNED.json` document.
-///
-/// The schema is owned by `pim-dse`'s `TunedDoc`; this gate only checks
-/// the load-bearing shape a consumer (`RuntimeBuilder::tuned`) relies on,
-/// so the two crates stay decoupled.
-fn validate_tuned_text(text: &str) -> Result<(), String> {
-    let doc = JsonValue::parse(text).ok_or("not valid JSON")?;
-    doc.str_at("tuned").ok_or("missing 'tuned' string")?;
-    let best = doc.get("best_edp").ok_or("missing 'best_edp' object")?;
-    best.get("config")
-        .and_then(JsonValue::as_obj)
-        .filter(|o| !o.is_empty())
-        .ok_or("'best_edp' is missing a non-empty 'config' object")?;
-    let edp = best
-        .get("metrics")
-        .ok_or("'best_edp' is missing a 'metrics' object")?
-        .num_at("edp")
-        .ok_or("'best_edp.metrics' is missing 'edp'")?;
-    if !(edp.is_finite() && edp > 0.0) {
-        return Err(format!(
-            "'best_edp.metrics.edp' is {edp}, not positive finite"
-        ));
-    }
-    let runtime = doc.get("runtime").ok_or("missing 'runtime' object")?;
-    for knob in [
-        "workers",
-        "par_threads",
-        "max_batch",
-        "queue_capacity",
-        "spawn_threshold",
-    ] {
-        let v = runtime
-            .usize_at(knob)
-            .ok_or_else(|| format!("'runtime.{knob}' is missing or not a whole number"))?;
-        if v == 0 {
-            return Err(format!("'runtime.{knob}' is zero"));
-        }
-    }
-    let frontier = doc
-        .get("frontier")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing 'frontier' array")?;
-    if frontier.is_empty() {
-        return Err("'frontier' is empty".into());
-    }
-    Ok(())
-}
-
-/// Gate logic for the optional tuned-defaults document: absent is fine,
-/// malformed is a failure.
-fn check_tuned(path: &str, failures: &mut Vec<String>) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(_) => {
-            println!("  tuned {path:<32} absent (ok — no tuned defaults committed)");
-            return;
-        }
-    };
-    match validate_tuned_text(&text) {
-        Ok(()) => println!("  tuned {path:<32} well-formed"),
-        Err(e) => failures.push(format!("tuned defaults '{path}' are malformed: {e}")),
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (committed, fresh, tuned) = match args.as_slice() {
-        [c, f] => (c, f, None),
-        [c, f, t] => (c, f, Some(t)),
-        _ => {
-            eprintln!("usage: bench-gate <committed.json> <fresh.json> [tuned.json]");
-            return ExitCode::FAILURE;
-        }
+    let [committed, fresh] = args.as_slice() else {
+        eprintln!("usage: bench-gate <committed.json> <fresh.json>");
+        return ExitCode::FAILURE;
     };
     println!("bench-gate: {committed} vs {fresh}");
     match run(committed, fresh) {
-        Ok(mut failures) => {
-            if let Some(tuned) = tuned {
-                check_tuned(tuned, &mut failures);
-            }
+        Ok(failures) => {
             if failures.is_empty() {
                 println!("bench-gate: PASS");
                 ExitCode::SUCCESS
@@ -498,45 +422,5 @@ mod tests {
             &mut none,
         );
         assert!(none.is_empty());
-    }
-
-    const GOOD: &str = r#"{
-  "tuned": "dse",
-  "best_edp": {
-    "label": "p",
-    "config": {"workers": 4},
-    "metrics": {"edp": 1.5}
-  },
-  "runtime": {"workers": 4, "par_threads": 1, "max_batch": 8, "queue_capacity": 256, "spawn_threshold": 32768},
-  "frontier": [{"label": "p", "edp": 1.5}]
-}"#;
-
-    #[test]
-    fn accepts_a_well_formed_tuned_doc() {
-        assert_eq!(validate_tuned_text(GOOD), Ok(()));
-    }
-
-    #[test]
-    fn rejects_malformed_tuned_docs() {
-        assert!(validate_tuned_text("not json").is_err());
-        assert!(validate_tuned_text("{}").is_err());
-        for (from, to) in [
-            ("\"edp\": 1.5", "\"edp\": 0.0"),
-            (
-                "\"workers\": 4, \"par_threads\"",
-                "\"workers\": 0, \"par_threads\"",
-            ),
-            ("[{\"label\": \"p\", \"edp\": 1.5}]", "[]"),
-            ("\"config\": {\"workers\": 4}", "\"config\": {}"),
-            ("\"spawn_threshold\": 32768", "\"spawn_threshold\": 0"),
-            (", \"spawn_threshold\": 32768", ""),
-        ] {
-            let broken = GOOD.replace(from, to);
-            assert_ne!(broken, GOOD, "replacement {from:?} must apply");
-            assert!(
-                validate_tuned_text(&broken).is_err(),
-                "should reject {from:?} -> {to:?}"
-            );
-        }
     }
 }

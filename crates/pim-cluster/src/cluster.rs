@@ -6,7 +6,8 @@ use crate::stats::ClusterStats;
 use crate::telemetry::ClusterTelemetry;
 use pim_nn::tensor::Tensor;
 use pim_runtime::{
-    BatchPolicy, CompiledModel, InferResponse, ModelId, Runtime, RuntimeError, Telemetry, Ticket,
+    validate_input, BatchPolicy, CompiledModel, InferResponse, ModelId, Runtime, RuntimeError,
+    Telemetry, Ticket,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -346,24 +347,12 @@ impl Cluster {
         Ok(idx)
     }
 
-    /// Validates shape cluster-side so malformed requests never count
-    /// against the admission-control ledger. Accepts `[C, H, W]` and
-    /// `[1, C, H, W]`, mirroring the runtime's own check.
+    /// Validates cluster-side, with the runtime's own
+    /// [`validate_input`] rule, so malformed requests never count against
+    /// the admission-control ledger.
     fn validate(&self, model: ModelId, input: &Tensor) -> Result<(), ClusterError> {
         let idx = self.slot_index(model)?;
-        let expected = self.input_shapes[idx].as_slice();
-        let shape = input.shape();
-        let ok = shape == expected
-            || (shape.len() == expected.len() + 1 && shape[0] == 1 && &shape[1..] == expected);
-        if ok {
-            Ok(())
-        } else {
-            Err(RuntimeError::BadInput {
-                expected: expected.to_vec(),
-                actual: shape.to_vec(),
-            }
-            .into())
-        }
+        Ok(validate_input(&self.input_shapes[idx], input)?)
     }
 
     /// Routes one request: health probe, queue-depth plan, then tries

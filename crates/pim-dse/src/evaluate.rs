@@ -5,7 +5,7 @@
 //! sparse Rep-Net path on SRAM PEs), and read off latency / energy / area.
 //! The tile formulas inside that roll-up are bit-identical to the `pim-pe`
 //! cycle simulators (pinned by this crate's proptests), which is what
-//! makes the analytic tier trustworthy enough to prune on.
+//! makes the analytic evaluation trustworthy enough to prune on.
 
 use pim_arch::mapper::MapError;
 use pim_arch::workload::ModelProfile;

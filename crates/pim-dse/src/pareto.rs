@@ -8,42 +8,6 @@
 
 use crate::evaluate::AnalyticCost;
 use pim_arch::ArchConfig;
-use std::fmt;
-
-/// How a point's objectives were obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
-    /// Analytic `pim-arch` roll-up only.
-    Analytic,
-    /// Promoted: the point's PE kernels were additionally micro-benched
-    /// on the host (`measured_ns`).
-    Measured,
-}
-
-impl Tier {
-    /// Stable lowercase identifier (used in `TUNED.json`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Self::Analytic => "analytic",
-            Self::Measured => "measured",
-        }
-    }
-
-    /// Inverse of [`as_str`](Self::as_str).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "analytic" => Some(Self::Analytic),
-            "measured" => Some(Self::Measured),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Tier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// One evaluated design point.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,25 +16,18 @@ pub struct DesignPoint {
     pub config: ArchConfig,
     /// [`ArchConfig::label`] of the configuration.
     pub label: String,
-    /// Analytic or measured.
-    pub tier: Tier,
     /// Analytic objectives.
     pub cost: AnalyticCost,
-    /// Host wall-clock of one simulated SRAM-PE matvec when the point was
-    /// promoted to the measured tier.
-    pub measured_ns: Option<f64>,
 }
 
 impl DesignPoint {
-    /// A fresh analytic-tier point.
+    /// A point priced by the analytic roll-up.
     pub fn analytic(config: ArchConfig, cost: AnalyticCost) -> Self {
         let label = config.label();
         Self {
             config,
             label,
-            tier: Tier::Analytic,
             cost,
-            measured_ns: None,
         }
     }
 
@@ -166,13 +123,5 @@ mod tests {
     fn duplicate_points_all_survive() {
         let frontier = pareto_frontier(&[point(1.0, 1.0, 1.0), point(1.0, 1.0, 1.0)]);
         assert_eq!(frontier.len(), 2);
-    }
-
-    #[test]
-    fn tier_round_trips_through_its_name() {
-        for tier in [Tier::Analytic, Tier::Measured] {
-            assert_eq!(Tier::parse(tier.as_str()), Some(tier));
-        }
-        assert_eq!(Tier::parse("bogus"), None);
     }
 }

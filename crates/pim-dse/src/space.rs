@@ -20,33 +20,24 @@ pub struct SweepSpace {
     /// Weight precisions (applied to both PEs; the MRAM packing is
     /// re-derived per [`ArchConfig::with_weight_bits`]).
     pub weight_bits: Vec<u32>,
-    /// Serving splits as `(workers, par_threads)`.
-    pub parallelism: Vec<(usize, usize)>,
-    /// Batcher rider caps.
-    pub max_batches: Vec<usize>,
-    /// Compute-pool inline-vs-dispatch cost thresholds (estimated scalar
-    /// ops). List the preferred default first: analytic objectives don't
-    /// see this knob, so EDP ties break toward the head of the list.
-    pub spawn_thresholds: Vec<u64>,
 }
 
 impl SweepSpace {
-    /// A bounded neighbourhood of the paper's design point — 24 grid
-    /// points (≤ 32, small enough for a CI smoke sweep): three sparsity
-    /// patterns, two weight precisions, two serving splits around the
-    /// shipped defaults, and two pool-granularity thresholds.
+    /// A bounded neighbourhood of the paper's design point — 10 grid
+    /// points (≤ 32, small enough for a CI smoke sweep): five N:M
+    /// sparsity patterns (1:4, 1:8, 2:4, 2:8, 1:16) at two weight
+    /// precisions.
     pub fn dac24_neighborhood() -> Self {
         Self {
             patterns: vec![
                 NmPattern::one_of_four(),
                 NmPattern::one_of_eight(),
                 NmPattern::two_of_four(),
+                NmPattern::new(2, 8).expect("2:8 is a valid pattern"),
+                NmPattern::new(1, 16).expect("1:16 is a valid pattern"),
             ],
             sram_tiles: vec![(128, 8)],
             weight_bits: vec![8, 4],
-            parallelism: vec![(4, 1), (2, 2)],
-            max_batches: vec![8],
-            spawn_thresholds: vec![32_768, 4_096],
         }
     }
 
@@ -56,20 +47,12 @@ impl SweepSpace {
             patterns: vec![NmPattern::one_of_four()],
             sram_tiles: vec![(128, 8)],
             weight_bits: vec![8],
-            parallelism: vec![(4, 1)],
-            max_batches: vec![8],
-            spawn_thresholds: vec![32_768],
         }
     }
 
     /// Number of raw grid points (before validation).
     pub fn grid_size(&self) -> usize {
-        self.patterns.len()
-            * self.sram_tiles.len()
-            * self.weight_bits.len()
-            * self.parallelism.len()
-            * self.max_batches.len()
-            * self.spawn_thresholds.len()
+        self.patterns.len() * self.sram_tiles.len() * self.weight_bits.len()
     }
 
     /// Enumerates the grid through the [`ArchConfig::validate`] gate:
@@ -81,22 +64,13 @@ impl SweepSpace {
         for &pattern in &self.patterns {
             for &(rows, groups) in &self.sram_tiles {
                 for &bits in &self.weight_bits {
-                    for &(workers, par_threads) in &self.parallelism {
-                        for &max_batch in &self.max_batches {
-                            for &spawn_threshold in &self.spawn_thresholds {
-                                let cfg = ArchConfig::dac24()
-                                    .with_pattern(pattern)
-                                    .with_sram_tile(rows, groups)
-                                    .with_weight_bits(bits)
-                                    .with_parallelism(workers, par_threads)
-                                    .with_batching(max_batch, 256)
-                                    .with_spawn_threshold(spawn_threshold);
-                                match cfg.validated() {
-                                    Ok(cfg) => valid.push(cfg),
-                                    Err(_) => invalid += 1,
-                                }
-                            }
-                        }
+                    let cfg = ArchConfig::dac24()
+                        .with_pattern(pattern)
+                        .with_sram_tile(rows, groups)
+                        .with_weight_bits(bits);
+                    match cfg.validated() {
+                        Ok(cfg) => valid.push(cfg),
+                        Err(_) => invalid += 1,
                     }
                 }
             }

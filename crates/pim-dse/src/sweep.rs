@@ -1,47 +1,22 @@
-//! The two-tier sweep orchestrator.
+//! The sweep orchestrator.
 //!
 //! 1. **Enumerate** the [`SweepSpace`] grid through the
 //!    [`ArchConfig`](pim_arch::ArchConfig) validation gate.
 //! 2. **Evaluate** every valid point analytically (`pim-arch` roll-up) —
 //!    cheap enough to cover the whole grid.
 //! 3. **Prune** to the Pareto frontier over {latency, energy, area, EDP}.
-//! 4. **Promote** the lowest-EDP frontier survivors to the measured tier:
-//!    real `pim-pe` micro-benches under `measure_ns_into`.
 //!
 //! Progress is published to a [`TelemetryRegistry`]:
 //! `pim_dse_points_total` / `pim_dse_points_invalid` /
-//! `pim_dse_points_evaluated` / `pim_dse_points_measured` counters, plus
-//! `pim_dse_sweep_progress` (0..1) and `pim_dse_frontier_size` gauges.
+//! `pim_dse_points_evaluated` counters, plus `pim_dse_sweep_progress`
+//! (0..1) and `pim_dse_frontier_size` gauges.
 
 use crate::evaluate::{evaluate, EvalError, Workload};
-use crate::measure::measure;
-use crate::pareto::{pareto_frontier, DesignPoint, Tier};
+use crate::pareto::{pareto_frontier, DesignPoint};
 use crate::space::SweepSpace;
 use crate::tuned::{FrontierEntry, TunedDoc};
 use pim_telemetry::TelemetryRegistry;
 use std::fmt;
-
-/// Sweep sizing knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepOptions {
-    /// Frontier survivors promoted to real micro-benches (lowest EDP
-    /// first).
-    pub measure_top: usize,
-    /// Timed iterations per micro-bench.
-    pub iters: u32,
-}
-
-impl Default for SweepOptions {
-    /// Promotes only the best-EDP survivor by default, so the rest of the
-    /// frontier stays analytic — `TUNED.json` then shows both tiers side
-    /// by side.
-    fn default() -> Self {
-        Self {
-            measure_top: 1,
-            iters: 20,
-        }
-    }
-}
 
 /// Everything a finished sweep produced.
 #[derive(Debug, Clone)]
@@ -63,8 +38,6 @@ pub enum SweepError {
     EmptySpace,
     /// A valid point failed analytic evaluation.
     Eval(EvalError),
-    /// A promoted point failed its micro-bench.
-    Measure(pim_pe::PeError),
 }
 
 impl fmt::Display for SweepError {
@@ -72,24 +45,21 @@ impl fmt::Display for SweepError {
         match self {
             Self::EmptySpace => write!(f, "sweep space contains no valid design point"),
             Self::Eval(e) => write!(f, "analytic evaluation failed: {e}"),
-            Self::Measure(e) => write!(f, "micro-bench failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for SweepError {}
 
-/// Runs the full two-tier sweep of `space` on `workload`.
+/// Runs the sweep of `space` on `workload`.
 ///
 /// # Errors
 ///
 /// [`SweepError::EmptySpace`] when no grid point validates;
-/// [`SweepError::Eval`] / [`SweepError::Measure`] when a stage fails on a
-/// point that passed the earlier gates.
+/// [`SweepError::Eval`] when a point that passed validation fails to map.
 pub fn run_sweep(
     space: &SweepSpace,
     workload: &Workload,
-    options: &SweepOptions,
     registry: &TelemetryRegistry,
 ) -> Result<SweepOutcome, SweepError> {
     let (configs, invalid) = space.enumerate();
@@ -106,7 +76,7 @@ pub fn run_sweep(
         return Err(SweepError::EmptySpace);
     }
 
-    // Tier 1: analytic evaluation of every valid point.
+    // Analytic evaluation of every valid point.
     let evaluated_counter = registry.counter(
         "pim_dse_points_evaluated",
         "Design points evaluated analytically",
@@ -125,25 +95,12 @@ pub fn run_sweep(
     }
 
     // Prune to the frontier (ascending EDP).
-    let mut frontier = pareto_frontier(&points);
+    let frontier = pareto_frontier(&points);
     registry
         .gauge("pim_dse_frontier_size", "Pareto frontier size")
         .set(frontier.len() as f64);
 
-    // Tier 2: promote the lowest-EDP survivors to real micro-benches.
-    let measured_counter =
-        registry.counter("pim_dse_points_measured", "Frontier points micro-benched");
-    let promote = options.measure_top.min(frontier.len());
-    for point in frontier.iter_mut().take(promote) {
-        let measured =
-            measure(&point.config, registry, options.iters).map_err(SweepError::Measure)?;
-        point.tier = Tier::Measured;
-        point.measured_ns = Some(measured.sram_matvec_ns);
-        measured_counter.inc();
-    }
-
-    // The frontier is EDP-sorted, so its head is the best-EDP point — and
-    // it was promoted first, so the winner always carries measurements.
+    // The frontier is EDP-sorted, so its head is the best-EDP point.
     let best = frontier[0].clone();
     let doc = TunedDoc {
         workload: workload.name.clone(),
@@ -165,27 +122,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_point_sweep_selects_dac24_and_measures_it() {
+    fn single_point_sweep_selects_dac24() {
         let registry = TelemetryRegistry::new();
-        let outcome = run_sweep(
-            &SweepSpace::dac24_only(),
-            &Workload::resnet50_repnet(),
-            &SweepOptions {
-                measure_top: 1,
-                iters: 2,
-            },
-            &registry,
-        )
-        .unwrap();
+        let workload = Workload::resnet50_repnet();
+        let outcome = run_sweep(&SweepSpace::dac24_only(), &workload, &registry).unwrap();
         assert_eq!(outcome.evaluated, 1);
         assert_eq!(outcome.invalid, 0);
         assert_eq!(outcome.frontier.len(), 1);
         assert_eq!(outcome.doc.best.config, pim_arch::ArchConfig::dac24());
-        assert_eq!(outcome.doc.best.tier, Tier::Measured);
-        assert!(outcome.doc.best.measured_ns.unwrap() > 0.0);
+        assert_eq!(
+            outcome.doc.best.cost,
+            evaluate(&pim_arch::ArchConfig::dac24(), &workload).unwrap()
+        );
         assert_eq!(
             registry
-                .counter("pim_dse_points_measured", "Frontier points micro-benched")
+                .counter(
+                    "pim_dse_points_evaluated",
+                    "Design points evaluated analytically"
+                )
                 .value(),
             1.0
         );
@@ -197,13 +151,7 @@ mod tests {
         space.patterns.clear();
         let registry = TelemetryRegistry::new();
         assert_eq!(
-            run_sweep(
-                &space,
-                &Workload::resnet50_repnet(),
-                &SweepOptions::default(),
-                &registry
-            )
-            .unwrap_err(),
+            run_sweep(&space, &Workload::resnet50_repnet(), &registry).unwrap_err(),
             SweepError::EmptySpace
         );
     }

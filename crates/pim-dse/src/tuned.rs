@@ -1,12 +1,11 @@
 //! `TUNED.json`: the machine-readable product of a sweep.
 //!
 //! The document carries the best-EDP design point (with its full
-//! configuration), the Pareto frontier with each point's tier, and a
-//! `"runtime"` object of serving knobs that
-//! [`pim_runtime::RuntimeBuilder::tuned`] consumes as defaults. It is
-//! written and read through the workspace's single hand-rolled JSON codec
-//! ([`pim_bench::json`]); `bench-gate` structurally validates committed
-//! copies in CI (absent file OK, malformed file fails).
+//! configuration) and the Pareto frontier. It is written and read through
+//! the workspace's single hand-rolled JSON codec ([`pim_bench::json`]).
+//! Every input of the sweep is deterministic, so the committed copy is
+//! pinned byte for byte against a fresh render by
+//! `tests/integration_dse.rs`.
 //!
 //! Only swept fields are serialized: device/tech corners (cell energies,
 //! MTJ parameters, clock) are not part of the search space and stay at
@@ -14,34 +13,27 @@
 //! configuration exactly.
 
 use crate::evaluate::AnalyticCost;
-use crate::pareto::{DesignPoint, Tier};
+use crate::pareto::DesignPoint;
 use pim_arch::{ArchConfig, CoreGeometry};
 use pim_bench::json::{JsonValue, JsonWriter};
-use pim_runtime::TunedDefaults;
 use pim_sparse::NmPattern;
 use std::path::Path;
 
-/// One frontier row of the document (objectives + tier, no full config —
+/// One frontier row of the document (label + objectives, no full config —
 /// the winning configuration is only spelled out under `"best_edp"`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontierEntry {
     /// [`ArchConfig::label`] of the point.
     pub label: String,
-    /// Analytic or measured.
-    pub tier: Tier,
     /// Analytic objectives.
     pub cost: AnalyticCost,
-    /// Host ns per SRAM matvec, for measured-tier points.
-    pub measured_ns: Option<f64>,
 }
 
 impl From<&DesignPoint> for FrontierEntry {
     fn from(p: &DesignPoint) -> Self {
         Self {
             label: p.label.clone(),
-            tier: p.tier,
             cost: p.cost,
-            measured_ns: p.measured_ns,
         }
     }
 }
@@ -62,23 +54,6 @@ pub struct TunedDoc {
 }
 
 impl TunedDoc {
-    /// The serving defaults of the winning configuration.
-    pub fn runtime_defaults(&self) -> TunedDefaults {
-        let cfg = &self.best.config;
-        TunedDefaults {
-            workers: cfg.workers,
-            par_threads: cfg.par_threads,
-            max_batch: cfg.max_batch,
-            queue_capacity: cfg.queue_capacity,
-            spawn_threshold: cfg.spawn_threshold,
-        }
-    }
-
-    /// The winning configuration.
-    pub fn to_arch_config(&self) -> ArchConfig {
-        self.best.config.clone()
-    }
-
     /// Renders the document (house JSON style, trailing newline).
     pub fn render(&self) -> String {
         let mut w = JsonWriter::new();
@@ -95,26 +70,12 @@ impl TunedDoc {
         w.begin_obj();
         w.key("label");
         w.str(&self.best.label);
-        w.key("tier");
-        w.str(self.best.tier.as_str());
         w.key("config");
         render_config(&mut w, &self.best.config);
         w.key("metrics");
-        render_metrics(&mut w, &self.best.cost, self.best.measured_ns);
-        w.end_obj();
-        w.key("runtime");
-        let rt = self.runtime_defaults();
         w.begin_obj();
-        for (k, v) in [
-            ("workers", rt.workers as u64),
-            ("par_threads", rt.par_threads as u64),
-            ("max_batch", rt.max_batch as u64),
-            ("spawn_threshold", rt.spawn_threshold),
-            ("queue_capacity", rt.queue_capacity as u64),
-        ] {
-            w.key(k);
-            w.num(v as f64, 0);
-        }
+        render_cost(&mut w, &self.best.cost);
+        w.end_obj();
         w.end_obj();
         w.key("frontier");
         w.begin_arr();
@@ -122,20 +83,7 @@ impl TunedDoc {
             w.begin_inline_obj();
             w.key("label");
             w.str(&entry.label);
-            w.key("tier");
-            w.str(entry.tier.as_str());
-            w.key("latency_ns");
-            w.num(entry.cost.latency_ns, 3);
-            w.key("energy_pj");
-            w.num(entry.cost.energy_pj, 3);
-            w.key("area_mm2");
-            w.num(entry.cost.area_mm2, 3);
-            w.key("edp");
-            w.num(entry.cost.edp(), 3);
-            if let Some(ns) = entry.measured_ns {
-                w.key("measured_ns");
-                w.num(ns, 1);
-            }
+            render_cost(&mut w, &entry.cost);
             w.end_obj();
         }
         w.end_arr();
@@ -155,21 +103,16 @@ impl TunedDoc {
         }
         let best_obj = doc.get("best_edp")?;
         let config = parse_config(best_obj.get("config")?)?;
-        let metrics = best_obj.get("metrics")?;
         let best = DesignPoint {
             label: best_obj.str_at("label")?.to_string(),
-            tier: Tier::parse(best_obj.str_at("tier")?)?,
             config,
-            cost: parse_cost(metrics)?,
-            measured_ns: metrics.num_at("measured_ns"),
+            cost: parse_cost(best_obj.get("metrics")?)?,
         };
         let mut frontier = Vec::new();
         for entry in doc.get("frontier")?.as_arr()? {
             frontier.push(FrontierEntry {
                 label: entry.str_at("label")?.to_string(),
-                tier: Tier::parse(entry.str_at("tier")?)?,
                 cost: parse_cost(entry)?,
-                measured_ns: entry.num_at("measured_ns"),
             });
         }
         Some(Self {
@@ -191,8 +134,7 @@ impl TunedDoc {
     }
 
     /// Reads and parses `path`. `Ok(None)` when the file does not exist
-    /// (no sweep committed yet — callers fall back to hard-coded
-    /// defaults); an I/O or parse failure is an error.
+    /// (no sweep written yet); an I/O or parse failure is an error.
     ///
     /// # Errors
     ///
@@ -213,8 +155,8 @@ impl TunedDoc {
     }
 }
 
-fn render_metrics(w: &mut JsonWriter, cost: &AnalyticCost, measured_ns: Option<f64>) {
-    w.begin_obj();
+/// The four objective keys, written into the currently open object.
+fn render_cost(w: &mut JsonWriter, cost: &AnalyticCost) {
     w.key("latency_ns");
     w.num(cost.latency_ns, 3);
     w.key("energy_pj");
@@ -223,11 +165,6 @@ fn render_metrics(w: &mut JsonWriter, cost: &AnalyticCost, measured_ns: Option<f
     w.num(cost.area_mm2, 3);
     w.key("edp");
     w.num(cost.edp(), 3);
-    if let Some(ns) = measured_ns {
-        w.key("measured_ns");
-        w.num(ns, 1);
-    }
-    w.end_obj();
 }
 
 fn parse_cost(v: &JsonValue) -> Option<AnalyticCost> {
@@ -252,11 +189,6 @@ fn render_config(w: &mut JsonWriter, cfg: &ArchConfig) {
         ("banks_cols", cfg.geometry.banks.1),
         ("subarrays_rows", cfg.geometry.subarrays.0),
         ("subarrays_cols", cfg.geometry.subarrays.1),
-        ("workers", cfg.workers),
-        ("par_threads", cfg.par_threads),
-        ("max_batch", cfg.max_batch),
-        ("queue_capacity", cfg.queue_capacity),
-        ("spawn_threshold", cfg.spawn_threshold as usize),
     ] {
         w.key(k);
         w.num(v as f64, 0);
@@ -290,15 +222,6 @@ fn parse_config(v: &JsonValue) -> Option<ArchConfig> {
         (v.usize_at("subarrays_rows")?, v.usize_at("subarrays_cols")?),
     )
     .ok()?;
-    cfg.workers = v.usize_at("workers")?;
-    cfg.par_threads = v.usize_at("par_threads")?;
-    cfg.max_batch = v.usize_at("max_batch")?;
-    cfg.queue_capacity = v.usize_at("queue_capacity")?;
-    // Documents written before the granularity sweep carry no
-    // spawn_threshold; they keep the dac24 default.
-    if let Some(t) = v.usize_at("spawn_threshold") {
-        cfg.spawn_threshold = t as u64;
-    }
     cfg.validated().ok()
 }
 
@@ -310,26 +233,22 @@ mod tests {
     fn sample_doc() -> TunedDoc {
         let cfg = ArchConfig::dac24()
             .with_pattern(NmPattern::one_of_eight())
-            .with_parallelism(2, 2);
+            .with_weight_bits(4);
         let cost = AnalyticCost {
             latency_ns: 1234.5678,
             energy_pj: 99.125,
             area_mm2: 3.25,
         };
-        let mut best = DesignPoint::analytic(cfg, cost);
-        best.tier = Tier::Measured;
-        best.measured_ns = Some(42.5);
+        let best = DesignPoint::analytic(cfg, cost);
         let frontier = vec![
             FrontierEntry::from(&best),
             FrontierEntry {
                 label: "p1of4_other".into(),
-                tier: Tier::Analytic,
                 cost: AnalyticCost {
                     latency_ns: 2000.0,
                     energy_pj: 50.0,
                     area_mm2: 4.0,
                 },
-                measured_ns: None,
             },
         ];
         TunedDoc {
@@ -349,43 +268,14 @@ mod tests {
         // The winning configuration survives bit-for-bit (only swept
         // fields are serialized; the rest are dac24 on both sides).
         assert_eq!(parsed.best.config, doc.best.config);
-        assert_eq!(parsed.best.tier, Tier::Measured);
-        assert_eq!(parsed.best.measured_ns, Some(42.5));
         assert_eq!(parsed.workload, doc.workload);
         assert_eq!(parsed.points_swept, 24);
         assert_eq!(parsed.points_invalid, 1);
         assert_eq!(parsed.frontier.len(), 2);
-        assert_eq!(parsed.frontier[1].tier, Tier::Analytic);
+        assert_eq!(parsed.frontier[1].label, "p1of4_other");
         // And a second render is byte-identical (metrics survive the
         // 3-decimal quantization because render feeds from parsed values).
         assert_eq!(TunedDoc::parse(&parsed.render()), Some(parsed));
-    }
-
-    #[test]
-    fn runtime_defaults_mirror_the_winning_config() {
-        let doc = sample_doc();
-        let rt = doc.runtime_defaults();
-        assert_eq!(rt.workers, 2);
-        assert_eq!(rt.par_threads, 2);
-        assert_eq!(rt.max_batch, 8);
-        assert_eq!(rt.queue_capacity, 256);
-        assert_eq!(rt.spawn_threshold, 32_768);
-        assert_eq!(doc.to_arch_config(), doc.best.config);
-    }
-
-    #[test]
-    fn legacy_documents_without_spawn_threshold_keep_the_default() {
-        // Documents written before the granularity sweep lack the key
-        // everywhere; parse must fall back to the dac24 threshold.
-        let text: String = sample_doc()
-            .render()
-            .lines()
-            .filter(|l| !l.contains("spawn_threshold"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let parsed = TunedDoc::parse(&text).expect("legacy document parses");
-        assert_eq!(parsed.best.config.spawn_threshold, 32_768);
-        assert_eq!(parsed.runtime_defaults().spawn_threshold, 32_768);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::tenant::TenantId;
 use pim_cluster::ClusterError;
+use pim_runtime::RuntimeError;
 use std::fmt;
 
 /// Why a governor operation could not complete.
@@ -18,13 +19,10 @@ pub enum GovernorError {
         /// The shed tenant.
         id: TenantId,
     },
-    /// The request input does not match the tenant's model shape.
-    BadInput {
-        /// Shape the tenant's artifacts expect (`[C, H, W]`).
-        expected: Vec<usize>,
-        /// Shape the request carried.
-        actual: Vec<usize>,
-    },
+    /// The request input fails [`pim_runtime::validate_input`] against
+    /// the tenant's model shape ([`RuntimeError::BadInput`] or
+    /// [`RuntimeError::NonFiniteInput`]).
+    BadInput(RuntimeError),
     /// A tenant's full and degraded artifacts disagree on the
     /// client-visible interface, so they cannot share a serving slot.
     IncompatiblePair {
@@ -41,10 +39,7 @@ impl fmt::Display for GovernorError {
         match self {
             Self::UnknownTenant { id } => write!(f, "unknown {id}"),
             Self::Shed { id } => write!(f, "{id} is shed (admission refused under pressure)"),
-            Self::BadInput { expected, actual } => write!(
-                f,
-                "input shape {actual:?} does not match tenant model input {expected:?}"
-            ),
+            Self::BadInput(e) => write!(f, "tenant input rejected: {e}"),
             Self::IncompatiblePair { tenant } => write!(
                 f,
                 "tenant#{tenant}: full and degraded artifacts disagree on input shape or classes"
@@ -57,6 +52,7 @@ impl fmt::Display for GovernorError {
 impl std::error::Error for GovernorError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            Self::BadInput(e) => Some(e),
             Self::Cluster(e) => Some(e),
             _ => None,
         }
@@ -77,10 +73,10 @@ mod tests {
     fn errors_display_their_cause() {
         let e = GovernorError::Shed { id: TenantId(3) };
         assert!(e.to_string().contains("tenant#3"));
-        let b = GovernorError::BadInput {
+        let b = GovernorError::BadInput(RuntimeError::BadInput {
             expected: vec![3, 8, 8],
             actual: vec![1, 8, 8],
-        };
+        });
         assert!(b.to_string().contains("[3, 8, 8]"));
         assert!(GovernorError::IncompatiblePair { tenant: 1 }
             .to_string()

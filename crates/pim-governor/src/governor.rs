@@ -8,7 +8,7 @@ use crate::telemetry::GovernorTelemetry;
 use crate::tenant::{Priority, TenantId, TenantSlo, TenantSpec, Tier};
 use pim_cluster::{Cluster, ClusterBuilder, ClusterStats, ClusterTicket};
 use pim_nn::tensor::Tensor;
-use pim_runtime::{BatchPolicy, CompiledModel, InferResponse, Telemetry};
+use pim_runtime::{validate_input, BatchPolicy, CompiledModel, InferResponse, Telemetry};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -324,16 +324,7 @@ impl Governor {
         input: &Tensor,
     ) -> Result<GovernorTicket, GovernorError> {
         let state = self.state(tenant)?;
-        let expected = state.input_shape.as_slice();
-        let shape = input.shape();
-        let ok = shape == expected
-            || (shape.len() == expected.len() + 1 && shape[0] == 1 && &shape[1..] == expected);
-        if !ok {
-            return Err(GovernorError::BadInput {
-                expected: expected.to_vec(),
-                actual: shape.to_vec(),
-            });
-        }
+        validate_input(&state.input_shape, input).map_err(GovernorError::BadInput)?;
         let tel = self.telemetry.as_ref().map(|t| &t.tenants[tenant.0]);
         state.submitted.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = tel {

@@ -80,8 +80,8 @@ pub struct PoolCounters {
 /// Default spawn threshold for [`WorkPool::run_costed`], in estimated
 /// scalar ops (MACs / element visits). A dispatch costs a condvar wake —
 /// order of ten microseconds of combined overhead — so grids estimated
-/// under ~32k one-nanosecond ops are better off inline. Swept by `pim-dse`
-/// and tunable per pool.
+/// under ~32k one-nanosecond ops are better off inline. Tunable per
+/// pool.
 pub const DEFAULT_SPAWN_THRESHOLD: u64 = 32_768;
 
 /// Target number of leaves per executor when splitting an uncosted grid:

@@ -4,7 +4,7 @@
 use crate::compiled::{CompiledModel, ModelReplica};
 use crate::error::RuntimeError;
 use crate::queue::{AdmissionQueue, AdmitError};
-use crate::request::{InferResponse, ModelId, QueuedRequest, Ticket};
+use crate::request::{validate_input, InferResponse, ModelId, QueuedRequest, Ticket};
 use crate::stats::{RuntimeStats, StatsCollector};
 use crate::telemetry::RuntimeTelemetry;
 use pim_nn::layers::predictions;
@@ -61,35 +61,6 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Runtime sizing defaults produced by a `pim-dse` sweep (the `"runtime"`
-/// object of `TUNED.json`).
-///
-/// Feed one to [`RuntimeBuilder::tuned`] to replace the hard-coded
-/// [`RuntimeConfig`] defaults with sweep-selected values. Explicit builder
-/// calls always win over tuned defaults, regardless of call order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TunedDefaults {
-    /// Serving worker threads.
-    pub workers: usize,
-    /// Intra-request compute pool width.
-    pub par_threads: usize,
-    /// Per-batch rider cap.
-    pub max_batch: usize,
-    /// Bounded queue capacity.
-    pub queue_capacity: usize,
-    /// Compute-pool inline-vs-dispatch cost threshold (estimated scalar
-    /// ops below which a fan-out runs inline on the caller).
-    pub spawn_threshold: u64,
-}
-
-/// Which knobs the user set explicitly (those always beat tuned defaults).
-#[derive(Debug, Default, Clone, Copy)]
-struct ExplicitKnobs {
-    workers: bool,
-    queue_capacity: bool,
-    max_batch: bool,
-}
-
 /// Staged configuration for a [`Runtime`].
 #[derive(Debug, Default)]
 pub struct RuntimeBuilder {
@@ -103,46 +74,24 @@ pub struct RuntimeBuilder {
     spawn_threshold: Option<u64>,
     /// Extra `replica="<label>"` label on every telemetry family.
     replica_label: Option<String>,
-    /// Sweep-selected defaults, applied at [`Self::start`] for every knob
-    /// not explicitly set.
-    tuned: Option<TunedDefaults>,
-    explicit: ExplicitKnobs,
 }
 
 impl RuntimeBuilder {
     /// Sets the worker-thread count (min 1).
     pub fn workers(mut self, n: usize) -> Self {
         self.config.workers = n.max(1);
-        self.explicit.workers = true;
         self
     }
 
     /// Sets the bounded queue capacity (min 1).
     pub fn queue_capacity(mut self, n: usize) -> Self {
         self.config.queue_capacity = n.max(1);
-        self.explicit.queue_capacity = true;
         self
     }
 
     /// Sets the per-batch rider cap (min 1).
     pub fn max_batch(mut self, n: usize) -> Self {
         self.config.batch.max_batch = n.max(1);
-        self.explicit.max_batch = true;
-        self
-    }
-
-    /// Installs sweep-selected [`TunedDefaults`] (typically loaded from
-    /// `TUNED.json` by `pim-dse`). They replace the hard-coded defaults
-    /// for `workers`, `par_threads`, `max_batch`, `queue_capacity`, and
-    /// `spawn_threshold`; any of those knobs set explicitly — before *or*
-    /// after this call — keeps its explicit value, because resolution
-    /// happens once, at [`Self::start`].
-    ///
-    /// Tuning never changes served results: all five knobs only move work
-    /// between threads and batches, and outputs are bit-identical at every
-    /// setting (the `pim-par` determinism contract).
-    pub fn tuned(mut self, defaults: TunedDefaults) -> Self {
-        self.tuned = Some(defaults);
         self
     }
 
@@ -172,8 +121,7 @@ impl RuntimeBuilder {
     /// the calling worker instead of being dispatched — small jobs skip
     /// the handoff latency entirely. Purely a scheduling knob: outputs
     /// and ledgers are bit-identical at every setting. Without this call
-    /// the pool keeps [`pim_par::DEFAULT_SPAWN_THRESHOLD`] (or the tuned
-    /// value when [`tuned`](Self::tuned) defaults are installed).
+    /// the pool keeps [`pim_par::DEFAULT_SPAWN_THRESHOLD`].
     pub fn spawn_threshold(mut self, ops: u64) -> Self {
         self.spawn_threshold = Some(ops.max(1));
         self
@@ -212,26 +160,7 @@ impl RuntimeBuilder {
     }
 
     /// Spawns the worker pool and opens the queue.
-    pub fn start(mut self) -> Runtime {
-        // Resolve tuned defaults now, so explicit setter calls win no
-        // matter where `tuned()` appeared in the chain.
-        if let Some(t) = self.tuned {
-            if !self.explicit.workers {
-                self.config.workers = t.workers.max(1);
-            }
-            if !self.explicit.queue_capacity {
-                self.config.queue_capacity = t.queue_capacity.max(1);
-            }
-            if !self.explicit.max_batch {
-                self.config.batch.max_batch = t.max_batch.max(1);
-            }
-            if self.par_threads.is_none() {
-                self.par_threads = Some(t.par_threads.max(1));
-            }
-            if self.spawn_threshold.is_none() {
-                self.spawn_threshold = Some(t.spawn_threshold.max(1));
-            }
-        }
+    pub fn start(self) -> Runtime {
         let replica_label = self.replica_label;
         let telemetry = self
             .telemetry
@@ -601,8 +530,8 @@ impl Runtime {
     /// # Errors
     ///
     /// * [`RuntimeError::UnknownModel`] — `model` was not registered.
-    /// * [`RuntimeError::BadInput`] — shape mismatch (batched inputs are
-    ///   rejected; batching is the runtime's job).
+    /// * [`RuntimeError::BadInput`] / [`RuntimeError::NonFiniteInput`] —
+    ///   the input fails [`validate_input`].
     /// * [`RuntimeError::QueueFull`] — backpressure; retry later.
     /// * [`RuntimeError::ShuttingDown`] — the runtime no longer accepts
     ///   work.
@@ -614,21 +543,15 @@ impl Runtime {
                 .ok_or(RuntimeError::UnknownModel { id: model })?;
             slot.model.input_shape().to_vec()
         };
-        let expected = expected.as_slice();
-        let shape = input.shape();
-        let normalized = if shape == expected {
+        validate_input(&expected, input)?;
+        let normalized = if input.shape() == expected {
             let mut with_batch = vec![1];
-            with_batch.extend_from_slice(shape);
+            with_batch.extend_from_slice(input.shape());
             input
                 .reshaped(with_batch)
                 .expect("adding a unit batch axis preserves the element count")
-        } else if shape.len() == 4 && shape[0] == 1 && &shape[1..] == expected {
-            input.clone()
         } else {
-            return Err(RuntimeError::BadInput {
-                expected: expected.to_vec(),
-                actual: shape.to_vec(),
-            });
+            input.clone()
         };
 
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);

@@ -27,6 +27,11 @@ pub enum RuntimeError {
         /// Shape the request carried.
         actual: Vec<usize>,
     },
+    /// The request input holds a NaN or infinite element.
+    NonFiniteInput {
+        /// Flat (row-major) index of the first non-finite element.
+        index: usize,
+    },
     /// A hot swap offered a replacement model whose interface does not
     /// match the slot it targets. Clients keep their [`ModelId`] across
     /// swaps, so the replacement must accept the same inputs and emit the
@@ -69,6 +74,9 @@ impl fmt::Display for RuntimeError {
                 f,
                 "input shape {actual:?} does not match model input {expected:?}"
             ),
+            Self::NonFiniteInput { index } => {
+                write!(f, "input element {index} is not finite")
+            }
             Self::IncompatibleSwap {
                 expected_input,
                 actual_input,
@@ -112,6 +120,9 @@ mod tests {
             actual: vec![1, 8, 8],
         };
         assert!(b.to_string().contains("[3, 8, 8]"));
+        assert!(RuntimeError::NonFiniteInput { index: 5 }
+            .to_string()
+            .contains("element 5"));
         let s = RuntimeError::IncompatibleSwap {
             expected_input: vec![3, 8, 8],
             actual_input: vec![3, 8, 8],

@@ -53,11 +53,11 @@ mod stats;
 pub mod telemetry;
 
 pub use compiled::CompiledModel;
-pub use engine::{BatchPolicy, Runtime, RuntimeBuilder, RuntimeConfig, TunedDefaults};
+pub use engine::{BatchPolicy, Runtime, RuntimeBuilder, RuntimeConfig};
 pub use error::RuntimeError;
 pub use pim_par::PoolCounters;
 pub use pim_telemetry::Telemetry;
-pub use request::{InferResponse, ModelId, Ticket};
+pub use request::{validate_input, InferResponse, ModelId, Ticket};
 pub use stats::RuntimeStats;
 
 #[cfg(test)]
@@ -105,46 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn tuned_defaults_fill_unset_knobs_but_explicit_calls_win() {
-        let tuned = TunedDefaults {
-            workers: 2,
-            par_threads: 3,
-            max_batch: 4,
-            queue_capacity: 99,
-            spawn_threshold: 5,
-        };
-        // All knobs default to the tuned values (the pool width is
-        // additionally clamped to the physically available cores).
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut builder = Runtime::builder().tuned(tuned);
-        let id = builder.register(CompiledModel::compile("tiny", &tiny_model()).expect("compile"));
-        let runtime = builder.start();
-        assert_eq!(runtime.par_threads(), 3.min(cores));
-        assert_eq!(runtime.queue_capacity(), 99);
-        assert_eq!(runtime.spawn_threshold(), 5);
-        let input = Tensor::ones(runtime.models()[0].input_shape());
-        let tuned_logits = runtime.infer(id, &input).expect("infer").logits;
-        runtime.shutdown();
-
-        // Explicit setters beat the tuned defaults even when `tuned()` is
-        // chained afterwards — resolution happens at start().
-        let mut builder = Runtime::builder()
-            .queue_capacity(10)
-            .par_threads(1)
-            .spawn_threshold(7_000)
-            .tuned(tuned);
-        let id = builder.register(CompiledModel::compile("tiny", &tiny_model()).expect("compile"));
-        let runtime = builder.start();
-        assert_eq!(runtime.par_threads(), 1);
-        assert_eq!(runtime.queue_capacity(), 10);
-        assert_eq!(runtime.spawn_threshold(), 7_000);
-        // Tuning knobs never change served results (determinism contract).
-        let explicit_logits = runtime.infer(id, &input).expect("infer").logits;
-        assert_eq!(tuned_logits, explicit_logits);
-        runtime.shutdown();
-    }
-
-    #[test]
     fn submit_validates_model_and_shape() {
         let mut builder = Runtime::builder().workers(1);
         let id = builder.register(CompiledModel::compile("tiny", &tiny_model()).expect("compile"));
@@ -165,6 +125,31 @@ mod tests {
         batched.extend_from_slice(&shape);
         assert!(runtime.submit(id, &Tensor::ones(&batched)).is_ok());
         runtime.shutdown();
+    }
+
+    #[test]
+    fn non_finite_inputs_are_refused_and_the_worker_stays_healthy() {
+        let mut builder = Runtime::builder().workers(1).max_wait(Duration::ZERO);
+        let id = builder.register(CompiledModel::compile("tiny", &tiny_model()).expect("compile"));
+        let runtime = builder.start();
+        let shape = runtime.models()[0].input_shape().to_vec();
+        let poisoned = |index: usize, value: f32| {
+            Tensor::from_fn(&shape, |i| if i == index { value } else { 0.5 })
+        };
+
+        for (index, value) in [(0, f32::INFINITY), (3, f32::NAN)] {
+            assert_eq!(
+                runtime.submit(id, &poisoned(index, value)).map(|_| ()),
+                Err(RuntimeError::NonFiniteInput { index })
+            );
+        }
+        assert!(runtime.healthy(), "a refused input never reaches a worker");
+        let ok = runtime.infer(id, &Tensor::ones(&shape)).expect("answered");
+        assert_eq!(ok.logits.len(), 5);
+        assert!(runtime.healthy());
+        let stats = runtime.shutdown();
+        assert_eq!(stats.requests_completed, 1);
+        assert_eq!(stats.requests_rejected, 0, "validation is not admission");
     }
 
     #[test]

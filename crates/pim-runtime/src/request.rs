@@ -36,6 +36,34 @@ impl fmt::Display for ModelId {
     }
 }
 
+/// The one admission rule for a single-sample request input, shared by
+/// every serving layer (a runtime, a cluster, a governor): the input must
+/// be `[C, H, W]` or `[1, C, H, W]` for the model's `expected` `[C, H, W]`
+/// shape, and every element must be finite.
+///
+/// # Errors
+///
+/// * [`RuntimeError::BadInput`] — shape mismatch (batched inputs are
+///   rejected; batching is the runtime's job).
+/// * [`RuntimeError::NonFiniteInput`] — a NaN or infinite element, named
+///   by its flat index. Served, it would poison the per-row activation
+///   scale and turn the logits into NaN.
+pub fn validate_input(expected: &[usize], input: &Tensor) -> Result<(), RuntimeError> {
+    let shape = input.shape();
+    let shape_ok = shape == expected
+        || (shape.len() == expected.len() + 1 && shape[0] == 1 && &shape[1..] == expected);
+    if !shape_ok {
+        return Err(RuntimeError::BadInput {
+            expected: expected.to_vec(),
+            actual: shape.to_vec(),
+        });
+    }
+    match input.as_slice().iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(RuntimeError::NonFiniteInput { index }),
+        None => Ok(()),
+    }
+}
+
 /// One queued inference request (internal).
 #[derive(Debug)]
 pub(crate) struct QueuedRequest {

@@ -382,6 +382,14 @@ proptest! {
             let err = cluster.submit(*id, &bad_shape).expect_err("malformed must fail");
             prop_assert!(matches!(err, ClusterError::Runtime(RuntimeError::BadInput { .. })));
         }
+        let inf = Tensor::from_fn(inputs[0].shape(), |i| if i == 0 { f32::INFINITY } else { 0.0 });
+        for _ in 0..malformed {
+            let err = cluster.submit(*id, &inf).expect_err("non-finite must fail");
+            prop_assert!(matches!(
+                err,
+                ClusterError::Runtime(RuntimeError::NonFiniteInput { index: 0 })
+            ));
+        }
         let unknown = cluster.submit(ModelId::from_index(99), &inputs[0]).expect_err("unknown id");
         prop_assert!(matches!(unknown, ClusterError::Runtime(RuntimeError::UnknownModel { .. })));
         for t in tickets {

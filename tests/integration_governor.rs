@@ -14,7 +14,7 @@ use pim_governor::{
 };
 use pim_nn::models::{Backbone, BackboneConfig, RepNet, RepNetConfig};
 use pim_nn::tensor::Tensor;
-use pim_runtime::CompiledModel;
+use pim_runtime::{CompiledModel, RuntimeError};
 use pim_sparse::NmPattern;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -216,6 +216,13 @@ fn shed_tenant_is_refused_at_admission_and_readmitted() {
     assert!(matches!(
         g.submit(lo, &Tensor::ones(&[2, 8, 8])),
         Err(GovernorError::BadInput { .. })
+    ));
+    let nan = Tensor::from_fn(input.shape(), |i| if i == 1 { f32::NAN } else { 0.0 });
+    assert!(matches!(
+        g.submit(lo, &nan),
+        Err(GovernorError::BadInput(RuntimeError::NonFiniteInput {
+            index: 1
+        }))
     ));
     // Recovery re-admits.
     drive(&g, &[0.0; 4]);
