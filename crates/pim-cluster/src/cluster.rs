@@ -15,9 +15,10 @@ use std::time::Duration;
 
 /// Configures and starts a [`Cluster`].
 ///
-/// Every registered model is sharded across `macro_groups` simulated
-/// macro groups **once**, then the sharded artifact is cloned into each
-/// of `replicas` independent [`Runtime`]s — so the fleet is
+/// Every registered model is set to the fleet's `macro_groups` simulated
+/// macro groups **once** ([`CompiledModel::shard`], which overrides any
+/// group count the artifact already carried), then cloned into each of
+/// `replicas` independent [`Runtime`]s — so the fleet is
 /// `replicas × macro_groups` macros of simulated silicon serving
 /// `replicas` copies of the model.
 #[derive(Debug)]
@@ -131,11 +132,8 @@ impl ClusterBuilder {
     /// opens the cluster for traffic.
     pub fn start(self) -> Cluster {
         let groups = self.macro_groups;
-        let artifacts: Vec<CompiledModel> = self
-            .models
-            .into_iter()
-            .map(|m| if groups > 1 { m.shard(groups) } else { m })
-            .collect();
+        let artifacts: Vec<CompiledModel> =
+            self.models.into_iter().map(|m| m.shard(groups)).collect();
         let input_shapes: Vec<Vec<usize>> =
             artifacts.iter().map(|a| a.input_shape().to_vec()).collect();
         let mut replicas = Vec::with_capacity(self.replicas);
@@ -423,7 +421,8 @@ impl Cluster {
     /// Coordinated canary rollout of `replacement` into every replica's
     /// serving slot.
     ///
-    /// The replacement is sharded to match the fleet topology, its
+    /// The replacement is set to the fleet's macro-group count (whatever
+    /// count it carried before), its
     /// **reference answer** on a deterministic probe input is computed
     /// offline ([`CompiledModel::infer_reference`]), and the new version
     /// is swapped into replica 0 only. A live inference through that
@@ -445,11 +444,7 @@ impl Cluster {
         replacement: CompiledModel,
     ) -> Result<RolloutReport, ClusterError> {
         let idx = self.slot_index(model)?;
-        let artifact = if self.macro_groups > 1 {
-            replacement.shard(self.macro_groups)
-        } else {
-            replacement
-        };
+        let artifact = replacement.shard(self.macro_groups);
         let probe = probe_input(&self.input_shapes[idx]);
         let (reference, _) = artifact.infer_reference(&probe);
 

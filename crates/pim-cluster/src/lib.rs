@@ -4,11 +4,12 @@
 //! worth of PEs. This crate scales that out along both hardware axes the
 //! paper's MARS-style deployments use:
 //!
-//! - **Sharding** (capacity axis): each registered artifact's column
+//! - **Sharding** (macro-group axis): each registered artifact's column
 //!   tiles are dealt round-robin across `macro_groups` simulated macro
-//!   groups ([`CompiledModel::shard`]); the scatter/gather execution path
-//!   reconstructs the single-macro answer bit-for-bit, so sharding is a
-//!   pure topology change.
+//!   groups ([`CompiledModel::shard`]). Column tiles partition the output
+//!   space, so a group deal is a partition of the tile ledger, not a
+//!   second execution path: the artifact serves the single-macro answer
+//!   and run ledger bit for bit.
 //! - **Replication** (throughput axis): `replicas` independent runtimes
 //!   each serve a full copy of every artifact behind a queue-depth-aware
 //!   router — exact join-shortest-queue on small fleets,

@@ -19,7 +19,6 @@
 use pim_nn::layers::predictions;
 use pim_nn::models::RepNet;
 use pim_nn::quant::QuantParams;
-use pim_nn::sparse::{SparseConv2d, SparseLinear};
 use pim_nn::tensor::Tensor;
 use pim_par::{ScratchArena, SharedSliceMut, WorkPool};
 use pim_pe::{MatvecCost, PeError, PeStats, PeTelemetry, SparsePe, SramSparsePe};
@@ -40,38 +39,38 @@ pub type PeRunStats = PeStats;
 
 /// One loaded PE column tile of a layer.
 #[derive(Debug, Clone)]
-pub(crate) struct PeTile {
-    pub(crate) pe: SramSparsePe,
+struct PeTile {
+    pe: SramSparsePe,
     /// Output-column range `[col_start, col_end)` this tile covers.
-    pub(crate) col_start: usize,
-    pub(crate) col_end: usize,
+    col_start: usize,
+    col_end: usize,
     /// Occupied CSC slots — the MACs one matvec on this tile performs.
-    pub(crate) nnz: u64,
+    nnz: u64,
 }
 
 /// Reusable per-layer working buffers — quantized inputs, PE
 /// accumulators, classifier row staging, and the per-tile cost replay
 /// list. Buffers grow to the layer's steady-state sizes on first use and
-/// are reused thereafter, so the per-position / per-matvec hot loop
-/// performs no heap allocation after warmup (the direct-conv gather rows
-/// live in a per-executor [`ScratchArena`], reused across jobs).
+/// are reused thereafter, so the per-row / per-matvec hot loop performs
+/// no heap allocation after warmup (the input rows are filled in a
+/// per-executor [`ScratchArena`], reused across jobs).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Scratch {
-    /// `batch × reduction` quantized activations.
+struct Scratch {
+    /// `rows × reduction` quantized activations.
     x_q: Vec<i8>,
-    /// Per-input dequantization scale (`weight_scale × activation_scale`).
+    /// Per-row dequantization scale (`weight_scale × activation_scale`).
     scales: Vec<f32>,
-    /// `batch × tile_cols` raw PE accumulators of the current tile.
+    /// `rows × tile_cols` raw PE accumulators, one region per tile.
     acc: Vec<i32>,
     /// Staged input rows (the classifier's pooled feature batch).
-    pub(crate) patches: Vec<f32>,
-    /// Per-tile `(cost, nnz)` of the last batched call, replayed into the
-    /// run ledger in the sequential (input-major, tile-minor) order.
-    pub(crate) costs: Vec<(MatvecCost, u64)>,
+    patches: Vec<f32>,
+    /// Per-tile `(cost, nnz)` of the last call, replayed into the run
+    /// ledger in the sequential (row-major, tile-minor) order.
+    costs: Vec<(MatvecCost, u64)>,
     /// Prefix offsets of each tile's region in the shared `acc` arena
     /// (`tiles + 1` entries) — lets parallel tile tasks write disjointly.
     tile_off: Vec<usize>,
-    /// Per-executor `reduction`-sized gather rows for the direct-conv
+    /// Per-executor `reduction`-sized input rows for the quantize
     /// fan-out: tasks run on whichever executor steals them, so the row
     /// staging is keyed by executor slot instead of being reallocated
     /// inside every chunk closure.
@@ -81,7 +80,7 @@ pub(crate) struct Scratch {
 /// Rows per parallel batch block: enough blocks to feed every executor
 /// roughly twice (for load balance against uneven tile sizes), never
 /// smaller than one row. A serial pool keeps the whole batch in one block.
-pub(crate) fn par_block(batch: usize, threads: usize) -> usize {
+fn par_block(batch: usize, threads: usize) -> usize {
     if threads <= 1 {
         batch
     } else {
@@ -96,7 +95,7 @@ pub(crate) fn par_block(batch: usize, threads: usize) -> usize {
 /// manufacture enough grid cells. Either way the split is
 /// bit-transparent: each cell computes outputs that depend only on its
 /// own (input row, column) pairs.
-pub(crate) fn grid_block(batch: usize, tiles: usize, threads: usize) -> usize {
+fn grid_block(batch: usize, tiles: usize, threads: usize) -> usize {
     if threads <= 1 || tiles >= threads * 2 {
         batch
     } else {
@@ -104,44 +103,54 @@ pub(crate) fn grid_block(batch: usize, tiles: usize, threads: usize) -> usize {
     }
 }
 
+/// Lowers a reduction-first weight matrix for the PEs: quantizes it once
+/// under its calibrated per-tensor scale and returns that scale with the
+/// per-tile step, which N:M-prunes column block `[c, end)` by magnitude
+/// under `pattern` and CSC-compresses it into the program a tile loads.
+/// Compile, differential update and the write preflight all lower through
+/// here, so their tile programs agree bit for bit.
+fn lower_weights(
+    w: &Matrix<f32>,
+    pattern: NmPattern,
+) -> (f32, impl Fn(usize, usize) -> CscMatrix + Sync) {
+    let params = QuantParams::calibrate(w.as_slice());
+    let quantized = w.map(|v| params.quantize_value(v));
+    let lower = move |c: usize, end: usize| {
+        let block = Matrix::from_fn(quantized.rows(), end - c, |r, j| quantized[(r, c + j)]);
+        let mask = prune_magnitude(&block, pattern).expect("non-empty block");
+        CscMatrix::compress(&block, &mask).expect("mask fits block")
+    };
+    (params.scale(), lower)
+}
+
 /// A conv or linear layer compiled into weight-stationary SRAM PE tiles.
 #[derive(Debug, Clone)]
-pub(crate) struct PeLayer {
-    pub(crate) name: String,
-    pub(crate) tiles: Vec<PeTile>,
+struct PeLayer {
+    name: String,
+    tiles: Vec<PeTile>,
     weight_scale: f32,
     bias: Vec<f32>,
-    pub(crate) reduction: usize,
-    pub(crate) outputs: usize,
-    pub(crate) kernel: usize,
-    pub(crate) stride: usize,
-    pub(crate) padding: usize,
-    pub(crate) scratch: Scratch,
+    reduction: usize,
+    outputs: usize,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+    scratch: Scratch,
 }
 
 impl PeLayer {
-    /// Compiles a reduction-first weight matrix under `pattern`.
-    fn compile(
-        name: &str,
-        w: &Matrix<f32>,
-        bias: &[f32],
-        pattern: NmPattern,
-        kernel: usize,
-        stride: usize,
-        padding: usize,
-    ) -> Result<Self, PeError> {
-        let params = QuantParams::calibrate(w.as_slice());
-        let quantized = w.map(|v| params.quantize_value(v));
+    /// Compiles a layer's reduction-first weights under its pattern.
+    fn compile(src: &LayerWeights) -> Result<Self, PeError> {
+        let (w, pattern) = (&src.weights, src.pattern);
+        let (kernel, stride, padding) = src.geometry;
         let slots_per_col = pattern.slots_for(w.rows());
         let groups_per_col = slots_per_col.div_ceil(128).max(1);
         let cols_per_tile = (8 / groups_per_col).max(1);
+        let (weight_scale, lower) = lower_weights(w, pattern);
         let mut tiles = Vec::new();
-        let mut c = 0;
-        while c < w.cols() {
+        for c in (0..w.cols()).step_by(cols_per_tile) {
             let end = (c + cols_per_tile).min(w.cols());
-            let block = Matrix::from_fn(w.rows(), end - c, |r, j| quantized[(r, c + j)]);
-            let mask = prune_magnitude(&block, pattern).expect("non-empty block");
-            let csc = CscMatrix::compress(&block, &mask).expect("mask fits block");
+            let csc = lower(c, end);
             let mut pe = SramSparsePe::new();
             pe.load(&csc)?;
             tiles.push(PeTile {
@@ -150,13 +159,12 @@ impl PeLayer {
                 col_end: end,
                 nnz: csc.nnz() as u64,
             });
-            c = end;
         }
         Ok(Self {
-            name: name.to_owned(),
+            name: src.name.clone(),
             tiles,
-            weight_scale: params.scale(),
-            bias: bias.to_vec(),
+            weight_scale,
+            bias: src.bias.to_vec(),
             reduction: w.rows(),
             outputs: w.cols(),
             kernel,
@@ -167,51 +175,37 @@ impl PeLayer {
     }
 
     /// Differentially re-targets the loaded tiles at new weights: each
-    /// tile re-quantizes its column block and rewrites only the changed
+    /// tile re-lowers its column block and rewrites only the changed
     /// bit-cells via [`SramSparsePe::update`]. The tile geometry is fixed
     /// at compile time (shapes and pattern don't change between updates),
     /// so the resulting programs are identical to a cold
     /// [`compile`](PeLayer::compile) of the same weights. Returns the PE
     /// ledger delta of the rewrite (the online-learning write bill).
-    fn update(
-        &mut self,
-        w: &Matrix<f32>,
-        bias: &[f32],
-        pattern: NmPattern,
-    ) -> Result<PeStats, PeError> {
-        assert_eq!(w.rows(), self.reduction, "layer {}: reduction", self.name);
-        assert_eq!(w.cols(), self.outputs, "layer {}: outputs", self.name);
-        let params = QuantParams::calibrate(w.as_slice());
-        let quantized = w.map(|v| params.quantize_value(v));
+    fn update(&mut self, src: &LayerWeights) -> Result<PeStats, PeError> {
+        self.assert_shape(&src.weights);
+        let (weight_scale, lower) = lower_weights(&src.weights, src.pattern);
         let mut delta = PeStats::new();
         for tile in &mut self.tiles {
-            let (c, end) = (tile.col_start, tile.col_end);
-            let block = Matrix::from_fn(w.rows(), end - c, |r, j| quantized[(r, c + j)]);
-            let mask = prune_magnitude(&block, pattern).expect("non-empty block");
-            let csc = CscMatrix::compress(&block, &mask).expect("mask fits block");
+            let csc = lower(tile.col_start, tile.col_end);
             let before = *tile.pe.stats();
             tile.pe.update(&csc)?;
             delta += tile.pe.stats().since(&before);
             tile.nnz = csc.nnz() as u64;
         }
-        self.weight_scale = params.scale();
-        self.bias = bias.to_vec();
+        self.weight_scale = weight_scale;
+        self.bias = src.bias.to_vec();
         Ok(delta)
     }
 
     /// Batched quantized matvecs through the tiles:
     /// `out[b] = deq(PE(q(xs[b]))) + bias` for each of the `batch`
     /// row-major input rows, activations quantized **per input** exactly
-    /// as sequential execution does. The compute fans out over `pool` as a
-    /// tile × batch-block grid (each cell runs
-    /// [`SramSparsePe::matvec_batch_compute`] into its own region of the
-    /// accumulator arena and its own rows/columns of `out`), then the
-    /// `batch × tiles` matvec bills are folded into the ledgers **after
-    /// the join, serially**, in the sequential (input, tile) order — so
-    /// both outputs and the f64 run ledger are bit-identical to
-    /// one-at-a-time calls regardless of thread count or interleaving.
-    /// Zero heap allocation after the layer scratch has warmed up.
-    pub(crate) fn forward_batch(
+    /// as sequential execution does. Runs the one tile × row-block grid
+    /// ([`run_grid`](PeLayer::run_grid)), so outputs and the f64 run
+    /// ledger are bit-identical to one-at-a-time calls regardless of
+    /// thread count or interleaving. Zero heap allocation after the layer
+    /// scratch has warmed up.
+    fn forward_batch(
         &mut self,
         xs: &[f32],
         batch: usize,
@@ -219,173 +213,13 @@ impl PeLayer {
         stats: &mut PeRunStats,
         pool: &WorkPool,
     ) {
-        self.forward_batch_compute(xs, batch, out, pool);
-        self.replay_costs(batch, stats);
-    }
-
-    /// The compute half of [`forward_batch`](PeLayer::forward_batch):
-    /// quantizes, runs the tile × batch-block grid, folds each tile's own
-    /// ledger, and leaves the per-tile `(cost, nnz)` bills in
-    /// `scratch.costs` — **without** touching the run ledger. The sharded
-    /// execution path calls this on every macro group and then interleaves
-    /// all groups' bills into the canonical global replay order itself.
-    pub(crate) fn forward_batch_compute(
-        &mut self,
-        xs: &[f32],
-        batch: usize,
-        out: &mut [f32],
-        pool: &WorkPool,
-    ) {
         debug_assert_eq!(xs.len(), batch * self.reduction);
-        debug_assert_eq!(out.len(), batch * self.outputs);
-        let reduction = self.reduction;
-        let outputs = self.outputs;
-        self.scratch.x_q.resize(batch * reduction, 0);
-        self.scratch.scales.resize(batch, 0.0);
-        {
-            // Per-input quantization is row-local, so rows fan out freely.
-            let weight_scale = self.weight_scale;
-            let x_q = SharedSliceMut::new(&mut self.scratch.x_q);
-            let scales = SharedSliceMut::new(&mut self.scratch.scales);
-            let est = (batch * reduction) as u64;
-            pool.for_each_chunk_costed(batch, par_block(batch, pool.threads()), est, |rows| {
-                // SAFETY: chunk row ranges are disjoint, so the x_q and
-                // scales regions they map to are disjoint too.
-                let (q, sc) = unsafe {
-                    (
-                        x_q.slice(rows.start * reduction..rows.end * reduction),
-                        scales.slice(rows.clone()),
-                    )
-                };
-                for (i, b) in rows.enumerate() {
-                    let row = &xs[b * reduction..(b + 1) * reduction];
-                    let x_params = QuantParams::calibrate(row);
-                    sc[i] = weight_scale * x_params.scale();
-                    x_params.quantize_into(row, &mut q[i * reduction..(i + 1) * reduction]);
-                }
-            });
-        }
-
-        // Tile × batch-block compute grid. Integer kernel outputs depend
-        // only on their own (input, column) pair, so the block split is
-        // bit-transparent; no ledger is touched until after the join.
-        let Scratch {
-            x_q,
-            scales,
-            acc,
-            tile_off,
-            costs,
-            ..
-        } = &mut self.scratch;
-        tile_off.clear();
-        tile_off.push(0);
-        for tile in &self.tiles {
-            let last = *tile_off.last().expect("seeded with 0");
-            tile_off.push(last + (tile.col_end - tile.col_start) * batch);
-        }
-        acc.resize(*tile_off.last().expect("seeded with 0"), 0);
-        let block = grid_block(batch, self.tiles.len(), pool.threads());
-        let n_blocks = batch.div_ceil(block);
-        {
-            let tiles = &self.tiles;
-            let bias = &self.bias;
-            let x_q = &*x_q;
-            let scales = &*scales;
-            let tile_off = &*tile_off;
-            let acc_view = SharedSliceMut::new(acc);
-            let out_view = SharedSliceMut::new(out);
-            let est = tiles.iter().map(|t| t.nnz).sum::<u64>() * batch as u64;
-            pool.run_costed(tiles.len() * n_blocks, est, |t| {
-                let (ti, blk) = (t / n_blocks, t % n_blocks);
-                let tile = &tiles[ti];
-                let tc = tile.col_end - tile.col_start;
-                let (b0, b1) = (blk * block, ((blk + 1) * block).min(batch));
-                // SAFETY: tile ti owns acc[tile_off[ti]..tile_off[ti+1]],
-                // sliced by disjoint row blocks — pairwise disjoint across
-                // the grid.
-                let acc_region =
-                    unsafe { acc_view.slice(tile_off[ti] + b0 * tc..tile_off[ti] + b1 * tc) };
-                tile.pe
-                    .matvec_batch_compute(&x_q[b0 * reduction..b1 * reduction], b1 - b0, acc_region)
-                    .expect("tile loaded at compile time");
-                for b in b0..b1 {
-                    let scale = scales[b];
-                    // SAFETY: row b is private to this block and the
-                    // column range is private to this tile.
-                    let dst = unsafe {
-                        out_view.slice(b * outputs + tile.col_start..b * outputs + tile.col_end)
-                    };
-                    for ((d, &a), &bi) in dst
-                        .iter_mut()
-                        .zip(&acc_region[(b - b0) * tc..(b - b0 + 1) * tc])
-                        .zip(&bias[tile.col_start..tile.col_end])
-                    {
-                        *d = a as f32 * scale + bi;
-                    }
-                }
-            });
-        }
-
-        // Deterministic accounting after the join: each tile's own ledger
-        // folds its `batch` matvecs sequentially (tile-local f64 order is
-        // what the fused call used), then the run ledger replays
-        // input-major, tile-minor — the exact sequential-execution order.
-        costs.clear();
-        for tile in &mut self.tiles {
-            let cost = tile
-                .pe
-                .record_matvecs(batch)
-                .expect("tile loaded at compile time");
-            costs.push((cost, tile.nnz));
-        }
-    }
-
-    /// Replays the bills staged by the last
-    /// [`forward_batch_compute`](PeLayer::forward_batch_compute) into the
-    /// run ledger input-major, tile-minor — the sequential-execution
-    /// order.
-    pub(crate) fn replay_costs(&self, batch: usize, stats: &mut PeRunStats) {
-        for _ in 0..batch {
-            for &(cost, nnz) in self.scratch.costs.iter() {
-                stats.record_matvec_cost(&cost, nnz);
-            }
-        }
-    }
-
-    /// Splits the layer into `groups` macro-group parts, tile `i` going
-    /// to part `i % groups` (round-robin keeps per-group work balanced
-    /// when tiles are uneven). Each part keeps the full output width and
-    /// bias — its tiles still write only the columns they own — so running
-    /// every part over the same input writes disjoint column sets that
-    /// together reconstruct exactly the unsplit layer's output. A part may
-    /// hold no tiles when the layer has fewer tiles than groups.
-    pub(crate) fn split_round_robin(&self, groups: usize) -> Vec<PeLayer> {
-        (0..groups)
-            .map(|g| PeLayer {
-                name: format!("{}#g{g}", self.name),
-                tiles: self
-                    .tiles
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % groups == g)
-                    .map(|(_, t)| t.clone())
-                    .collect(),
-                weight_scale: self.weight_scale,
-                bias: self.bias.clone(),
-                reduction: self.reduction,
-                outputs: self.outputs,
-                kernel: self.kernel,
-                stride: self.stride,
-                padding: self.padding,
-                scratch: Scratch::default(),
-            })
-            .collect()
-    }
-
-    /// Cumulative statistics of this layer's tiles, as the PEs account
-    /// them (includes the compile-time tile load).
-    pub(crate) fn cumulative_stats(&self) -> PeStats {
-        self.tiles.iter().map(|t| *t.pe.stats()).sum()
+        let (reduction, outputs) = (self.reduction, self.outputs);
+        self.quantize_rows(batch, pool, |b, row| {
+            row.copy_from_slice(&xs[b * reduction..(b + 1) * reduction]);
+        });
+        // SAFETY: `b * outputs + co` with `co < outputs` is injective.
+        unsafe { self.run_grid(batch, out, stats, pool, |b, co| b * outputs + co) };
     }
 
     /// Direct sparse convolution over an NCHW tensor — **no im2col
@@ -395,91 +229,107 @@ impl PeLayer {
     /// as the staged path, so the per-row scale is bit-identical), the
     /// tile × row-block grid runs over the quantized rows, and each cell
     /// dequantizes its accumulators **directly into the strided NCHW
-    /// output** — the `rows × reduction` f32 patch arena and the
-    /// `rows × outputs` staged arena of the old path are never written.
-    /// The flat `(position, tile)` cost replay is the same sequence the
-    /// merged im2col call billed, so the ledgers are unchanged.
-    pub(crate) fn conv_forward(
-        &mut self,
-        input: &Tensor,
-        stats: &mut PeRunStats,
-        pool: &WorkPool,
-    ) -> Tensor {
+    /// output** — no `rows × reduction` f32 patch arena and no
+    /// `rows × outputs` staged arena is ever written. The flat
+    /// `(position, tile)` cost replay is the same sequence the im2col
+    /// oracle bills, so the ledgers agree.
+    fn conv_forward(&mut self, input: &Tensor, stats: &mut PeRunStats, pool: &WorkPool) -> Tensor {
         let s = input.shape();
-        let (n, h, w) = (s[0], s[2], s[3]);
-        let (oh, ow) = conv_out_dims(h, w, self.kernel, self.stride, self.padding);
-        let mut out = Tensor::zeros(&[n, self.outputs, oh, ow]);
-        self.conv_forward_compute(input, out.as_mut_slice(), pool);
-        self.replay_costs(n * oh * ow, stats);
+        let (n, cin, h, w) = (s[0], s[1], s[2], s[3]);
+        let (k, stride, padding) = (self.kernel, self.stride, self.padding);
+        assert_eq!(cin * k * k, self.reduction, "layer {}: geometry", self.name);
+        let (oh, ow) = conv_out_dims(h, w, k, stride, padding);
+        let positions = oh * ow;
+        let outputs = self.outputs;
+        let x = input.as_slice();
+        let mut out = Tensor::zeros(&[n, outputs, oh, ow]);
+        self.quantize_rows(n * positions, pool, |p, row| {
+            let (ni, pos) = (p / positions, p % positions);
+            let (oy, ox) = (pos / ow, pos % ow);
+            row.fill(0.0);
+            gather_patch_into(x, row, ni, oy, ox, cin, h, w, k, stride, padding);
+        });
+        // SAFETY: row p is (image ni, position pos) with pos < positions,
+        // and NCHW `(ni * outputs + co) * positions + pos` with
+        // co < outputs is injective over (ni, co, pos).
+        unsafe {
+            self.run_grid(n * positions, out.as_mut_slice(), stats, pool, |p, co| {
+                let (ni, pos) = (p / positions, p % positions);
+                (ni * outputs + co) * positions + pos
+            })
+        };
         out
     }
 
-    /// The compute half of [`conv_forward`](PeLayer::conv_forward):
-    /// fused gather + quantize fan-out, tile × row-block PE grid with
-    /// strided NCHW dequant writes, bills staged in `scratch.costs` —
-    /// without touching the run ledger. The sharded path calls this per
-    /// macro group (each group re-gathers the broadcast activations and
-    /// writes only its own output channels) and interleaves the groups'
-    /// bills itself.
-    pub(crate) fn conv_forward_compute(
+    /// Fills, calibrates and quantizes `rows` input rows into the layer
+    /// scratch, fanned out over `pool`: `fill(p, row)` writes every value
+    /// of row `p` into a per-executor `reduction`-sized buffer, which
+    /// leaves as INT8 codes plus its dequantization scale. Rows are
+    /// independent, so the chunking never changes a code or a scale.
+    fn quantize_rows(
         &mut self,
-        input: &Tensor,
-        out: &mut [f32],
+        rows: usize,
         pool: &WorkPool,
+        fill: impl Fn(usize, &mut [f32]) + Sync,
     ) {
-        let s = input.shape();
-        let (n, cin, h, w) = (s[0], s[1], s[2], s[3]);
-        let k = self.kernel;
-        assert_eq!(cin * k * k, self.reduction, "layer {}: geometry", self.name);
-        let (oh, ow) = conv_out_dims(h, w, k, self.stride, self.padding);
-        let positions = oh * ow;
-        let rows = n * positions;
-        debug_assert_eq!(out.len(), n * self.outputs * positions);
         let reduction = self.reduction;
-        let outputs = self.outputs;
-        let x = input.as_slice();
+        let weight_scale = self.weight_scale;
         self.scratch.x_q.resize(rows * reduction, 0);
         self.scratch.scales.resize(rows, 0.0);
         self.scratch.row_bufs.ensure_slots(pool.threads());
-        {
-            // Fused gather + calibrate + quantize: each position's window
-            // lands in a per-executor arena row and leaves it as INT8 —
-            // identical f32 values to the staged gather, hence an
-            // identical per-row scale and identical quantized codes.
-            let weight_scale = self.weight_scale;
-            let (stride, padding) = (self.stride, self.padding);
-            let x_q = SharedSliceMut::new(&mut self.scratch.x_q);
-            let scales = SharedSliceMut::new(&mut self.scratch.scales);
-            let row_bufs = &self.scratch.row_bufs;
-            let est = (rows * reduction) as u64;
-            pool.for_each_chunk_costed(rows, par_block(rows, pool.threads()), est, |range| {
-                // SAFETY: chunk row ranges are disjoint, so the x_q and
-                // scales regions they map to are disjoint too.
-                let (q, sc) = unsafe {
-                    (
-                        x_q.slice(range.start * reduction..range.end * reduction),
-                        scales.slice(range.clone()),
-                    )
-                };
-                row_bufs.with(|row_buf| {
-                    row_buf.clear();
-                    row_buf.resize(reduction, 0.0);
-                    for (i, p) in range.enumerate() {
-                        let (ni, pos) = (p / positions, p % positions);
-                        let (oy, ox) = (pos / ow, pos % ow);
-                        row_buf.fill(0.0);
-                        gather_patch_into(x, row_buf, ni, oy, ox, cin, h, w, k, stride, padding);
-                        let x_params = QuantParams::calibrate(row_buf);
-                        sc[i] = weight_scale * x_params.scale();
-                        x_params.quantize_into(row_buf, &mut q[i * reduction..(i + 1) * reduction]);
-                    }
-                });
+        let x_q = SharedSliceMut::new(&mut self.scratch.x_q);
+        let scales = SharedSliceMut::new(&mut self.scratch.scales);
+        let row_bufs = &self.scratch.row_bufs;
+        let est = (rows * reduction) as u64;
+        pool.for_each_chunk_costed(rows, par_block(rows, pool.threads()), est, |range| {
+            // SAFETY: chunk row ranges are disjoint, so the x_q and
+            // scales regions they map to are disjoint too.
+            let (q, sc) = unsafe {
+                (
+                    x_q.slice(range.start * reduction..range.end * reduction),
+                    scales.slice(range.clone()),
+                )
+            };
+            row_bufs.with(|row_buf| {
+                row_buf.resize(reduction, 0.0);
+                for (i, p) in range.enumerate() {
+                    fill(p, row_buf);
+                    let x_params = QuantParams::calibrate(row_buf);
+                    sc[i] = weight_scale * x_params.scale();
+                    x_params.quantize_into(row_buf, &mut q[i * reduction..(i + 1) * reduction]);
+                }
             });
-        }
+        });
+    }
 
-        // Tile × row-block compute grid, as in `forward_batch_compute`,
-        // except each cell dequantizes straight into its own strided
-        // (image, channel, position) cells of the NCHW output.
+    /// The layer's one tile × row-block compute grid over the `rows` rows
+    /// [`quantize_rows`](PeLayer::quantize_rows) left in the scratch. Each
+    /// cell runs [`SramSparsePe::matvec_batch_compute`] into its own
+    /// region of the accumulator arena and writes the dequantized value of
+    /// each of its (row, column) pairs, `acc · scale[row] + bias[column]`,
+    /// to `out[place(row, column)]`. Integer kernel outputs depend only on
+    /// their own (row, column) pair, so the block split is
+    /// bit-transparent.
+    ///
+    /// The `rows × tiles` matvec bills are folded **after the join,
+    /// serially**: each tile's own ledger folds its `rows` matvecs (the
+    /// tile-local f64 order of the fused call), then `stats` replays them
+    /// row-major, tile-minor — the exact sequential-execution order.
+    ///
+    /// # Safety
+    ///
+    /// `place` must map distinct (row, column) pairs, `row < rows` and
+    /// `column < outputs`, to distinct indices: cells write `out`
+    /// concurrently through those indices. (An index past `out` panics.)
+    unsafe fn run_grid(
+        &mut self,
+        rows: usize,
+        out: &mut [f32],
+        stats: &mut PeRunStats,
+        pool: &WorkPool,
+        place: impl Fn(usize, usize) -> usize + Sync,
+    ) {
+        let reduction = self.reduction;
         let Scratch {
             x_q,
             scales,
@@ -521,22 +371,16 @@ impl PeLayer {
                     .expect("tile loaded at compile time");
                 for b in b0..b1 {
                     let scale = scales[b];
-                    let (ni, pos) = (b / positions, b % positions);
                     for (j, &a) in acc_region[(b - b0) * tc..(b - b0 + 1) * tc]
                         .iter()
                         .enumerate()
                     {
                         let co = tile.col_start + j;
-                        // SAFETY: position rows are private to this block
-                        // and output channels private to this tile, so the
-                        // (row, channel) cells are pairwise distinct
-                        // across the grid.
-                        unsafe {
-                            out_view.write(
-                                (ni * outputs + co) * positions + pos,
-                                a as f32 * scale + bias[co],
-                            );
-                        }
+                        // SAFETY: rows are private to this block and
+                        // columns private to this tile, and the caller
+                        // guarantees `place` keeps distinct (row, column)
+                        // pairs distinct.
+                        unsafe { out_view.write(place(b, co), a as f32 * scale + bias[co]) };
                     }
                 }
             });
@@ -550,6 +394,17 @@ impl PeLayer {
                 .expect("tile loaded at compile time");
             costs.push((cost, tile.nnz));
         }
+        for _ in 0..rows {
+            for &(cost, nnz) in costs.iter() {
+                stats.record_matvec_cost(&cost, nnz);
+            }
+        }
+    }
+
+    /// Cumulative statistics of this layer's tiles, as the PEs account
+    /// them (includes the compile-time tile load).
+    fn cumulative_stats(&self) -> PeStats {
+        self.tiles.iter().map(|t| *t.pe.stats()).sum()
     }
 
     /// Reference im2col convolution — gather the full patch matrix, run
@@ -557,7 +412,7 @@ impl PeLayer {
     /// as the differential oracle the streaming
     /// [`conv_forward`](PeLayer::conv_forward) is tested against.
     #[cfg(test)]
-    pub(crate) fn conv_forward_im2col(
+    fn conv_forward_im2col(
         &mut self,
         input: &Tensor,
         stats: &mut PeRunStats,
@@ -595,50 +450,40 @@ impl PeLayer {
         out
     }
 
-    /// The exact bit-toggle bill an [`update`](PeLayer::update) to `w`
+    /// The exact bit-toggle bill an [`update`](PeLayer::update) to `src`
     /// would pay, computed **without writing anything**: per tile,
-    /// re-quantize the column block and XOR-count it against the resident
+    /// re-lower the column block and XOR-count it against the resident
     /// program ([`SramSparsePe::diff_bits`]). Tiles are independent and
     /// the u64 sum is order-free, so the diff fans out over the pool while
     /// still matching the sequential rewrite's bill exactly.
-    fn pending_write_bits(
-        &self,
-        w: &Matrix<f32>,
-        pattern: NmPattern,
-        pool: &WorkPool,
-    ) -> Result<u64, PeError> {
-        assert_eq!(w.rows(), self.reduction, "layer {}: reduction", self.name);
-        assert_eq!(w.cols(), self.outputs, "layer {}: outputs", self.name);
-        let params = QuantParams::calibrate(w.as_slice());
-        let quantized = w.map(|v| params.quantize_value(v));
+    fn pending_write_bits(&self, src: &LayerWeights, pool: &WorkPool) -> Result<u64, PeError> {
+        self.assert_shape(&src.weights);
+        let (_, lower) = lower_weights(&src.weights, src.pattern);
         let mut bits: Vec<Result<u64, PeError>> = vec![Ok(0); self.tiles.len()];
         {
             let tiles = &self.tiles;
-            let quantized = &quantized;
+            let lower = &lower;
             let view = SharedSliceMut::new(&mut bits);
             pool.run(tiles.len(), |ti| {
                 let tile = &tiles[ti];
-                let (c, end) = (tile.col_start, tile.col_end);
-                let block =
-                    Matrix::from_fn(quantized.rows(), end - c, |r, j| quantized[(r, c + j)]);
-                let mask = prune_magnitude(&block, pattern).expect("non-empty block");
-                let csc = CscMatrix::compress(&block, &mask).expect("mask fits block");
+                let csc = lower(tile.col_start, tile.col_end);
                 // SAFETY: each task owns exactly slot ti.
                 unsafe { view.slice(ti..ti + 1)[0] = tile.pe.diff_bits(&csc) };
             });
         }
         bits.into_iter().try_fold(0u64, |acc, b| Ok(acc + b?))
     }
+
+    /// Re-lowering keeps the compiled tile geometry, so new weights must
+    /// have the compiled shape.
+    fn assert_shape(&self, w: &Matrix<f32>) {
+        assert_eq!(w.rows(), self.reduction, "layer {}: reduction", self.name);
+        assert_eq!(w.cols(), self.outputs, "layer {}: outputs", self.name);
+    }
 }
 
 /// Output height/width of a `k×k` conv with `stride`/`padding` over `h×w`.
-pub(crate) fn conv_out_dims(
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    padding: usize,
-) -> (usize, usize) {
+fn conv_out_dims(h: usize, w: usize, k: usize, stride: usize, padding: usize) -> (usize, usize) {
     (
         (h + 2 * padding - k) / stride + 1,
         (w + 2 * padding - k) / stride + 1,
@@ -652,7 +497,7 @@ pub(crate) fn conv_out_dims(
 /// stages the full matrix — production conv streams patches directly.
 #[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gather_patches(
+fn gather_patches(
     input: &Tensor,
     reduction: usize,
     k: usize,
@@ -726,7 +571,7 @@ fn gather_patch_into(
 /// NCHW output slice; each image owns a contiguous output region. Like
 /// [`gather_patches`], only the im2col test oracle still needs this.
 #[cfg(test)]
-pub(crate) fn scatter_staged(
+fn scatter_staged(
     staged: &[f32],
     os: &mut [f32],
     n: usize,
@@ -750,26 +595,62 @@ pub(crate) fn scatter_staged(
     });
 }
 
-/// The pattern a layer compiles under: its mask's, or dense `4:4`.
-fn pattern_of_conv(conv: &SparseConv2d) -> NmPattern {
-    conv.mask()
-        .map(|m| m.pattern())
-        .unwrap_or_else(|| NmPattern::new(4, 4).expect("dense encoding"))
+/// One learnable layer of a [`RepNet`] as the PEs take it: its name,
+/// reduction-first weights, bias, compile pattern and `(kernel, stride,
+/// padding)` geometry (`(1, 1, 0)` for the classifier).
+struct LayerWeights<'a> {
+    name: String,
+    weights: Matrix<f32>,
+    bias: &'a [f32],
+    pattern: NmPattern,
+    geometry: (usize, usize, usize),
 }
 
-fn pattern_of_linear(fc: &SparseLinear) -> NmPattern {
-    fc.mask()
-        .map(|m| m.pattern())
-        .unwrap_or_else(|| NmPattern::new(4, 4).expect("dense encoding"))
+/// Every learnable layer of `model` in branch order — each module's
+/// proj (dense `4:4`), conv3 and conv1, then the classifier — each under
+/// its mask's pattern, or dense `4:4` when unmasked. Compile, refresh and
+/// the write preflight all walk this one list.
+fn learnable_layers(model: &RepNet) -> Vec<LayerWeights<'_>> {
+    let dense = NmPattern::new(4, 4).expect("dense encoding");
+    let mut layers = Vec::with_capacity(3 * model.modules().len() + 1);
+    for (i, module) in model.modules().iter().enumerate() {
+        let proj = module.connector();
+        layers.push(LayerWeights {
+            name: format!("rep{i}.proj"),
+            weights: proj.weight_matrix(),
+            bias: proj.bias_values(),
+            pattern: dense,
+            geometry: (proj.kernel(), proj.stride(), proj.padding()),
+        });
+        for (conv, tag) in module.sparse_convs().into_iter().zip(["conv3", "conv1"]) {
+            let inner = conv.inner();
+            layers.push(LayerWeights {
+                name: format!("rep{i}.{tag}"),
+                weights: inner.weight_matrix(),
+                bias: inner.bias_values(),
+                pattern: conv.mask().map_or(dense, |m| m.pattern()),
+                geometry: (inner.kernel(), inner.stride(), inner.padding()),
+            });
+        }
+    }
+    let clf = model.classifier();
+    layers.push(LayerWeights {
+        name: "classifier".to_owned(),
+        weights: clf.inner().weight_matrix(),
+        bias: clf.inner().bias_values(),
+        pattern: clf.mask().map_or(dense, |m| m.pattern()),
+        geometry: (1, 1, 0),
+    });
+    layers
 }
 
 /// One Rep-Net module compiled onto PEs.
 #[derive(Debug, Clone)]
-pub(crate) struct PeModule {
-    pub(crate) pools_prev: bool,
-    pub(crate) proj: PeLayer,
-    pub(crate) conv3: PeLayer,
-    pub(crate) conv1: PeLayer,
+struct PeModule {
+    pools_prev: bool,
+    proj: PeLayer,
+    conv3: PeLayer,
+    conv1: PeLayer,
 }
 
 /// The Rep-Net learnable branch compiled onto SRAM sparse PEs.
@@ -797,9 +678,9 @@ pub(crate) struct PeModule {
 /// recompiling — this is what `pim-runtime` fans out across workers.
 #[derive(Debug, Clone)]
 pub struct PeRepNet {
-    pub(crate) modules: Vec<PeModule>,
-    pub(crate) classifier: PeLayer,
-    pub(crate) feature_width: usize,
+    modules: Vec<PeModule>,
+    classifier: PeLayer,
+    feature_width: usize,
     /// Live counter mirror: when attached, every `predict`/`refresh`
     /// ledger delta is also folded into the shared telemetry counters
     /// (clones share the same counters, so a worker pool aggregates).
@@ -816,51 +697,25 @@ impl PeRepNet {
     ///
     /// Returns [`PeError`] if a layer tile exceeds PE capacity.
     pub fn compile(model: &mut RepNet) -> Result<Self, PeError> {
-        let mut modules = Vec::new();
-        for (i, module) in model.modules().iter().enumerate() {
-            let proj_conv = module.connector();
-            let [conv3, conv1] = module.sparse_convs();
-            modules.push(PeModule {
+        let mut layers = learnable_layers(model)
+            .iter()
+            .map(PeLayer::compile)
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter();
+        let mut next = || {
+            layers
+                .next()
+                .expect("three layers per module, then the classifier")
+        };
+        let modules = (0..model.modules().len())
+            .map(|i| PeModule {
                 pools_prev: i > 0,
-                proj: PeLayer::compile(
-                    &format!("rep{i}.proj"),
-                    &proj_conv.weight_matrix(),
-                    proj_conv.bias_values(),
-                    NmPattern::new(4, 4).expect("dense encoding"),
-                    proj_conv.kernel(),
-                    proj_conv.stride(),
-                    proj_conv.padding(),
-                )?,
-                conv3: PeLayer::compile(
-                    &format!("rep{i}.conv3"),
-                    &conv3.inner().weight_matrix(),
-                    conv3.inner().bias_values(),
-                    pattern_of_conv(conv3),
-                    conv3.inner().kernel(),
-                    conv3.inner().stride(),
-                    conv3.inner().padding(),
-                )?,
-                conv1: PeLayer::compile(
-                    &format!("rep{i}.conv1"),
-                    &conv1.inner().weight_matrix(),
-                    conv1.inner().bias_values(),
-                    pattern_of_conv(conv1),
-                    conv1.inner().kernel(),
-                    conv1.inner().stride(),
-                    conv1.inner().padding(),
-                )?,
-            });
-        }
-        let clf = model.classifier();
-        let classifier = PeLayer::compile(
-            "classifier",
-            &clf.inner().weight_matrix(),
-            clf.inner().bias_values(),
-            pattern_of_linear(clf),
-            1,
-            1,
-            0,
-        )?;
+                proj: next(),
+                conv3: next(),
+                conv1: next(),
+            })
+            .collect();
+        let classifier = next();
         let feature_width = model.backbone().config().feature_width();
         Ok(Self {
             modules,
@@ -871,8 +726,7 @@ impl PeRepNet {
         })
     }
 
-    /// Attaches a shared [`WorkPool`]: from now on `predict`,
-    /// `conv_forward`'s im2col staging, and
+    /// Attaches a shared [`WorkPool`]: from now on `predict` and
     /// [`pending_write_bits`](PeRepNet::pending_write_bits) fan their
     /// tile/row grids out over it. Outputs and ledgers are bit-identical
     /// at every thread count (see the module docs of `pim_par`); a
@@ -930,31 +784,9 @@ impl PeRepNet {
             "branch was compiled from a different model"
         );
         let mut delta = PeStats::new();
-        for (pm, module) in self.modules.iter_mut().zip(model.modules()) {
-            let proj_conv = module.connector();
-            let [conv3, conv1] = module.sparse_convs();
-            delta += pm.proj.update(
-                &proj_conv.weight_matrix(),
-                proj_conv.bias_values(),
-                NmPattern::new(4, 4).expect("dense encoding"),
-            )?;
-            delta += pm.conv3.update(
-                &conv3.inner().weight_matrix(),
-                conv3.inner().bias_values(),
-                pattern_of_conv(conv3),
-            )?;
-            delta += pm.conv1.update(
-                &conv1.inner().weight_matrix(),
-                conv1.inner().bias_values(),
-                pattern_of_conv(conv1),
-            )?;
+        for (layer, src) in self.layers_mut().zip(learnable_layers(model)) {
+            delta += layer.update(&src)?;
         }
-        let clf = model.classifier();
-        delta += self.classifier.update(
-            &clf.inner().weight_matrix(),
-            clf.inner().bias_values(),
-            pattern_of_linear(clf),
-        )?;
         if let Some(t) = &self.telemetry {
             t.record(&delta);
         }
@@ -982,33 +814,10 @@ impl PeRepNet {
             model.modules().len(),
             "branch was compiled from a different model"
         );
-        let pool = &self.pool;
         let mut total = 0u64;
-        for (pm, module) in self.modules.iter().zip(model.modules()) {
-            let proj_conv = module.connector();
-            let [conv3, conv1] = module.sparse_convs();
-            total += pm.proj.pending_write_bits(
-                &proj_conv.weight_matrix(),
-                NmPattern::new(4, 4).expect("dense encoding"),
-                pool,
-            )?;
-            total += pm.conv3.pending_write_bits(
-                &conv3.inner().weight_matrix(),
-                pattern_of_conv(conv3),
-                pool,
-            )?;
-            total += pm.conv1.pending_write_bits(
-                &conv1.inner().weight_matrix(),
-                pattern_of_conv(conv1),
-                pool,
-            )?;
+        for (layer, src) in self.layers().zip(learnable_layers(model)) {
+            total += layer.pending_write_bits(&src, &self.pool)?;
         }
-        let clf = model.classifier();
-        total += self.classifier.pending_write_bits(
-            &clf.inner().weight_matrix(),
-            pattern_of_linear(clf),
-            pool,
-        )?;
         Ok(total)
     }
 
@@ -1100,33 +909,57 @@ impl PeRepNet {
 
     /// Number of PE tiles loaded across the branch.
     pub fn tile_count(&self) -> usize {
-        self.modules
-            .iter()
-            .map(|m| m.proj.tiles.len() + m.conv3.tiles.len() + m.conv1.tiles.len())
-            .sum::<usize>()
-            + self.classifier.tiles.len()
+        self.layers().map(|l| l.tiles.len()).sum()
     }
 
     /// Per-layer cumulative statistics, straight from each tile's own
     /// [`PeStats`] ledger (so cycle/energy counters are never recomputed
     /// outside the PEs). Includes the compile-time tile loads.
     pub fn layer_stats(&self) -> Vec<(String, PeStats)> {
-        let mut out = Vec::with_capacity(3 * self.modules.len() + 1);
-        for m in &self.modules {
-            for layer in [&m.proj, &m.conv3, &m.conv1] {
-                out.push((layer.name.clone(), layer.cumulative_stats()));
+        self.layers()
+            .map(|l| (l.name.clone(), l.cumulative_stats()))
+            .collect()
+    }
+
+    /// Cumulative ledger of each of `groups` macro groups (at least one)
+    /// in a MARS-style multi-macro deployment: every layer's column tiles
+    /// are dealt round-robin, tile *i* of a layer billing group *i mod G*.
+    /// Column tiles partition the output space and one request's tiles
+    /// run the same way wherever they sit, so deployment across groups
+    /// changes no logit and no run ledger — it only partitions this
+    /// ledger. The entries sum to
+    /// [`cumulative_stats`](Self::cumulative_stats); a group past every
+    /// layer's tile count stays empty.
+    pub fn group_stats(&self, groups: usize) -> Vec<PeStats> {
+        let groups = groups.max(1);
+        let mut totals = vec![PeStats::new(); groups];
+        for layer in self.layers() {
+            for (i, tile) in layer.tiles.iter().enumerate() {
+                totals[i % groups] += *tile.pe.stats();
             }
         }
-        out.push((
-            self.classifier.name.clone(),
-            self.classifier.cumulative_stats(),
-        ));
-        out
+        totals
     }
 
     /// Cumulative statistics over the whole branch (loads + matvecs).
     pub fn cumulative_stats(&self) -> PeStats {
         self.layer_stats().into_iter().map(|(_, s)| s).sum()
+    }
+
+    /// Every compiled layer in branch order (the order of
+    /// [`learnable_layers`]).
+    fn layers(&self) -> impl Iterator<Item = &PeLayer> {
+        self.modules
+            .iter()
+            .flat_map(|m| [&m.proj, &m.conv3, &m.conv1])
+            .chain(std::iter::once(&self.classifier))
+    }
+
+    fn layers_mut(&mut self) -> impl Iterator<Item = &mut PeLayer> {
+        self.modules
+            .iter_mut()
+            .flat_map(|m| [&mut m.proj, &mut m.conv3, &mut m.conv1])
+            .chain(std::iter::once(&mut self.classifier))
     }
 }
 
@@ -1142,14 +975,14 @@ impl fmt::Display for PeRepNet {
 }
 
 /// In-place ReLU (digital periphery — the PE's global ReLU unit).
-pub(crate) fn relu_in_place(t: &mut Tensor) {
+fn relu_in_place(t: &mut Tensor) {
     for v in t.as_mut_slice() {
         *v = v.max(0.0);
     }
 }
 
 /// 2×2 average pooling (digital periphery — shift-add).
-pub(crate) fn avg_pool2(t: &Tensor) -> Tensor {
+fn avg_pool2(t: &Tensor) -> Tensor {
     let s = t.shape();
     let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
     let x = t.as_slice();
@@ -1174,7 +1007,7 @@ pub(crate) fn avg_pool2(t: &Tensor) -> Tensor {
 }
 
 /// Global average pooling NCHW → `[N, C]`.
-pub(crate) fn global_avg_pool(t: &Tensor) -> Tensor {
+fn global_avg_pool(t: &Tensor) -> Tensor {
     let s = t.shape();
     let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
     let x = t.as_slice();
@@ -1190,7 +1023,7 @@ pub(crate) fn global_avg_pool(t: &Tensor) -> Tensor {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use pim_data::SyntheticSpec;
     use pim_nn::models::{Backbone, BackboneConfig, RepNetConfig};
@@ -1423,7 +1256,7 @@ pub(crate) mod tests {
     }
 
     /// A standalone conv layer with deterministic pseudo-random weights.
-    pub(crate) fn conv_layer(
+    fn conv_layer(
         cin: usize,
         cout: usize,
         k: usize,
@@ -1437,11 +1270,18 @@ pub(crate) mod tests {
             (t as f32 - 11.0) / 11.0
         });
         let bias: Vec<f32> = (0..cout).map(|c| (c as f32 - 1.5) * 0.05).collect();
-        PeLayer::compile("conv", &w, &bias, pattern, k, stride, padding).expect("tile fits PE")
+        PeLayer::compile(&LayerWeights {
+            name: "conv".to_owned(),
+            weights: w,
+            bias: &bias,
+            pattern,
+            geometry: (k, stride, padding),
+        })
+        .expect("tile fits PE")
     }
 
     /// A deterministic NCHW probe tensor with varied magnitudes.
-    pub(crate) fn probe_input(n: usize, cin: usize, h: usize, w: usize, seed: usize) -> Tensor {
+    fn probe_input(n: usize, cin: usize, h: usize, w: usize, seed: usize) -> Tensor {
         let mut t = Tensor::zeros(&[n, cin, h, w]);
         for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
             let u = (i * 37 + seed * 13) % 29;

@@ -2,54 +2,12 @@
 
 use crate::error::RuntimeError;
 use pim_core::pe_inference::PeRepNet;
-use pim_core::shard::ShardedPeRepNet;
 use pim_nn::models::RepNet;
 use pim_nn::tensor::Tensor;
 use pim_par::WorkPool;
 use pim_pe::{PeStats, PeTelemetry};
 use std::fmt;
 use std::sync::Arc;
-
-/// The execution backend of an artifact: one macro owning every tile, or
-/// the tiles dealt across several macro groups (MARS-style). Both produce
-/// bit-identical logits and ledgers; only the simulated topology differs.
-#[derive(Debug, Clone)]
-enum Branch {
-    // Boxed: the compiled macro (tile programs + scratch) dwarfs the
-    // sharded handle, and artifacts move through worker queues by value.
-    Single(Box<PeRepNet>),
-    Sharded(ShardedPeRepNet),
-}
-
-impl Branch {
-    fn tile_count(&self) -> usize {
-        match self {
-            Branch::Single(b) => b.tile_count(),
-            Branch::Sharded(s) => s.tile_count(),
-        }
-    }
-
-    fn attach_telemetry(&mut self, telemetry: PeTelemetry) {
-        match self {
-            Branch::Single(b) => b.attach_telemetry(telemetry),
-            Branch::Sharded(s) => s.attach_telemetry(telemetry),
-        }
-    }
-
-    fn attach_pool(&mut self, pool: Arc<WorkPool>) {
-        match self {
-            Branch::Single(b) => b.attach_pool(pool),
-            Branch::Sharded(s) => s.attach_pool(pool),
-        }
-    }
-
-    fn predict(&mut self, model: &mut RepNet, batch: &Tensor) -> (Tensor, PeStats) {
-        match self {
-            Branch::Single(b) => b.predict(model, batch),
-            Branch::Sharded(s) => s.predict(model, batch),
-        }
-    }
-}
 
 /// A model lowered onto the PEs **once** — INT8 quantization, N:M CSC
 /// compression, and column tiling all happen at [`CompiledModel::compile`]
@@ -66,9 +24,11 @@ pub struct CompiledModel {
     /// Frozen backbone + reference branch; cloned per worker because the
     /// forward pass needs `&mut` (activation workspaces).
     model: RepNet,
-    /// The learnable branch as loaded PE tiles (single macro or sharded
-    /// across macro groups).
-    branch: Branch,
+    /// The learnable branch as loaded PE tiles.
+    branch: PeRepNet,
+    /// Simulated macro groups the branch's tiles are dealt across (see
+    /// [`CompiledModel::shard`]).
+    macro_groups: usize,
     /// Expected per-sample input shape `[C, H, W]`.
     input_shape: Vec<usize>,
     num_classes: usize,
@@ -93,7 +53,8 @@ impl CompiledModel {
         Ok(Self {
             name: name.into(),
             model,
-            branch: Branch::Single(Box::new(branch)),
+            branch,
+            macro_groups: 1,
             input_shape: vec![cfg.in_channels, cfg.image_size, cfg.image_size],
             num_classes,
             compile_stats,
@@ -130,41 +91,32 @@ impl CompiledModel {
         Self {
             name: name.into(),
             model: model.clone(),
-            branch: Branch::Single(Box::new(branch)),
+            branch,
+            macro_groups: 1,
             input_shape: vec![cfg.in_channels, cfg.image_size, cfg.image_size],
             num_classes,
             compile_stats,
         }
     }
 
-    /// Re-deploys the artifact across `groups` simulated macro groups
-    /// (MARS-style): every layer's tiles are dealt round-robin and the
-    /// scatter/gather execution path reconstructs the single-macro answer
-    /// — logits and run ledgers stay bit-exact. `groups <= 1` leaves the
-    /// artifact on a single macro.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the artifact is already sharded (shard the single-macro
-    /// artifact instead of re-dealing an already-dealt one).
+    /// Deploys the artifact across `groups` simulated macro groups
+    /// (MARS-style), replacing any earlier count; `groups` is clamped to at
+    /// least one. Each layer's column tiles are dealt round-robin, tile
+    /// *i* to group *i mod G*. Column tiles partition the output space, so
+    /// the groups' outputs are disjoint placement and the artifact still
+    /// runs its one execution path: logits and run ledgers are those of
+    /// the single-macro artifact, bit for bit. The groups only partition
+    /// the cumulative tile ledger ([`PeRepNet::group_stats`]); no group's
+    /// SRAM capacity is checked.
     pub fn shard(mut self, groups: usize) -> Self {
-        if groups <= 1 {
-            return self;
-        }
-        self.branch = match self.branch {
-            Branch::Single(b) => Branch::Sharded(ShardedPeRepNet::shard(&b, groups)),
-            Branch::Sharded(_) => panic!("artifact {} is already sharded", self.name),
-        };
+        self.macro_groups = groups.max(1);
         self
     }
 
     /// Number of simulated macro groups serving this artifact (1 when
     /// unsharded).
     pub fn macro_groups(&self) -> usize {
-        match &self.branch {
-            Branch::Single(_) => 1,
-            Branch::Sharded(s) => s.groups(),
-        }
+        self.macro_groups
     }
 
     /// Reference inference on a private clone of the artifact: runs a
@@ -245,7 +197,7 @@ impl fmt::Display for CompiledModel {
 #[derive(Debug)]
 pub(crate) struct ModelReplica {
     model: RepNet,
-    branch: Branch,
+    branch: PeRepNet,
 }
 
 impl ModelReplica {

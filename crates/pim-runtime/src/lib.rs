@@ -65,6 +65,7 @@ mod tests {
     use super::*;
     use pim_nn::models::{Backbone, BackboneConfig, RepNet, RepNetConfig};
     use pim_nn::tensor::Tensor;
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn tiny_model() -> RepNet {
@@ -88,6 +89,49 @@ mod tests {
         let compiled = CompiledModel::compile("tiny", &model).expect("compile");
         assert!(compiled.tile_count() > 0);
         assert!(compiled.compile_stats().loads > 0);
+
+        // A macro-group deal changes no logit and no run ledger, at any
+        // group count (past the tile count too) and pool width, and on a
+        // warmed replica as on a fresh one.
+        let batch = Tensor::from_vec(
+            vec![4, 1, 8, 8],
+            (0..256)
+                .map(|i| ((i * 37 % 113) as f32 / 56.5) - 1.0)
+                .collect(),
+        )
+        .expect("probe batch");
+        let (want_logits, want_stats) = compiled.replica().infer_batch(&batch);
+        for groups in [1, 2, 3, 5, compiled.tile_count() + 3] {
+            for threads in [1, 4] {
+                let mut sharded = compiled.clone().shard(groups);
+                assert_eq!(sharded.macro_groups(), groups);
+                assert_eq!(sharded.tile_count(), compiled.tile_count());
+                assert_eq!(sharded.compile_stats(), compiled.compile_stats());
+                assert_eq!(
+                    sharded.to_string().contains("macro groups"),
+                    groups > 1,
+                    "{sharded}"
+                );
+                sharded.attach_pool(Arc::new(pim_par::WorkPool::with_forced_threads(threads)));
+                let mut replica = sharded.replica();
+                for round in 0..2 {
+                    let (logits, stats) = replica.infer_batch(&batch);
+                    let bits = |t: &Tensor| -> Vec<u32> {
+                        t.as_slice().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(
+                        bits(&logits),
+                        bits(&want_logits),
+                        "G={groups} threads={threads} round={round}: logits diverged"
+                    );
+                    assert_eq!(
+                        stats, want_stats,
+                        "G={groups} threads={threads} round={round}: run ledger diverged"
+                    );
+                }
+            }
+        }
+        assert_eq!(compiled.clone().shard(4).shard(0).macro_groups(), 1);
 
         let mut builder = Runtime::builder().workers(2);
         let id = builder.register(compiled);

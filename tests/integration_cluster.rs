@@ -1,6 +1,7 @@
 //! End-to-end tests of the `pim-cluster` fleet: single-replica
 //! equivalence with a bare runtime (logits, stats, telemetry), sharded
-//! bit-exactness, coordinated canary rollouts, and request conservation
+//! bit-exactness, the fleet's macro-group count overriding pre-sharded
+//! artifacts, coordinated canary rollouts, and request conservation
 //! under concurrent load.
 
 use pim_cluster::{Cluster, ClusterBuilder, ClusterError};
@@ -185,6 +186,61 @@ fn sharded_cluster_reproduces_the_single_macro_answer() {
     let stats = cluster.shutdown();
     assert_eq!(stats.total.requests_completed, inputs.len() as u64);
     assert_eq!(stats.macro_groups, 3);
+}
+
+#[test]
+fn pre_sharded_artifacts_take_the_fleet_group_count() {
+    let v1 = tiny_model(5);
+    let v2 = tiny_model(17);
+    let inputs = tiny_inputs(4);
+
+    // An artifact the caller already dealt across 2 groups registers in a
+    // 3-group fleet; a 5-group replacement then rolls out over it.
+    let mut builder = ClusterBuilder::new()
+        .replicas(2)
+        .macro_groups(3)
+        .max_wait(Duration::from_millis(1));
+    let v1_artifact = CompiledModel::compile("v1", &v1).expect("compile");
+    let id = builder.register(v1_artifact.clone().shard(2));
+    let cluster = builder.start();
+    let replacement = CompiledModel::compile("v2", &v2).expect("compile");
+    let before: Vec<Vec<f32>> = inputs
+        .iter()
+        .map(|x| v1_artifact.infer_reference(x).0.as_slice().to_vec())
+        .collect();
+    let after: Vec<Vec<f32>> = inputs
+        .iter()
+        .map(|x| replacement.infer_reference(x).0.as_slice().to_vec())
+        .collect();
+    let check = |cluster: &Cluster, groups: usize, expected: &[Vec<f32>]| {
+        for r in 0..cluster.replica_count() {
+            let runtime = cluster.runtime(r);
+            assert_eq!(runtime.models()[0].macro_groups(), groups, "replica {r}");
+            for (i, x) in inputs.iter().enumerate() {
+                let response = runtime.infer(id, x).expect("response");
+                assert_eq!(response.logits, expected[i], "replica {r} sample {i}");
+            }
+        }
+    };
+    check(&cluster, 3, &before);
+    cluster
+        .swap_model(id, replacement.clone().shard(5))
+        .expect("rollout");
+    check(&cluster, 3, &after);
+    assert_eq!(cluster.shutdown().macro_groups, 3);
+
+    // A 1-group fleet serves a pre-sharded replacement on one group too.
+    let mut builder = ClusterBuilder::new()
+        .replicas(2)
+        .max_wait(Duration::from_millis(1));
+    let id_single = builder.register(v1_artifact);
+    assert_eq!(id_single, id);
+    let cluster = builder.start();
+    cluster
+        .swap_model(id, replacement.shard(4))
+        .expect("rollout");
+    check(&cluster, 1, &after);
+    assert_eq!(cluster.shutdown().macro_groups, 1);
 }
 
 #[test]
