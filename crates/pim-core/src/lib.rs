@@ -77,7 +77,7 @@ mod shard {
                 },
             );
             model.apply_pattern(NmPattern::one_of_four());
-            let branch = PeRepNet::compile(&mut model).expect("fits PEs");
+            let branch = PeRepNet::compile(&model).expect("fits PEs");
             (model, branch)
         }
 

@@ -665,7 +665,7 @@ struct PeModule {
 ///     Backbone::new(BackboneConfig::tiny()),
 ///     RepNetConfig { rep_channels: 4, num_classes: 5, seed: 2 },
 /// );
-/// let mut compiled = PeRepNet::compile(&mut model)?;
+/// let mut compiled = PeRepNet::compile(&model)?;
 /// let x = Tensor::ones(&[1, 1, 8, 8]);
 /// let (logits, stats) = compiled.predict(&mut model, &x);
 /// assert_eq!(logits.shape(), &[1, 5]);
@@ -696,7 +696,7 @@ impl PeRepNet {
     /// # Errors
     ///
     /// Returns [`PeError`] if a layer tile exceeds PE capacity.
-    pub fn compile(model: &mut RepNet) -> Result<Self, PeError> {
+    pub fn compile(model: &RepNet) -> Result<Self, PeError> {
         let mut layers = learnable_layers(model)
             .iter()
             .map(PeLayer::compile)
@@ -777,7 +777,7 @@ impl PeRepNet {
     ///
     /// Panics if `model` is structurally different from the model this
     /// branch was compiled from.
-    pub fn refresh(&mut self, model: &mut RepNet) -> Result<PeStats, PeError> {
+    pub fn refresh(&mut self, model: &RepNet) -> Result<PeStats, PeError> {
         assert_eq!(
             self.modules.len(),
             model.modules().len(),
@@ -1073,7 +1073,7 @@ mod tests {
     #[test]
     fn pe_executed_branch_agrees_with_the_quantized_nn() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
 
         // Reference: the NN model under fake-quant evaluation.
         let mut quantized = model.clone();
@@ -1102,7 +1102,7 @@ mod tests {
     #[test]
     fn pe_executed_branch_retains_task_accuracy() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         let indices: Vec<usize> = (0..task.test.len()).collect();
         let (x, labels) = task.test.batch(&indices);
         let (preds, _) = compiled.classify(&mut model, &x);
@@ -1114,8 +1114,8 @@ mod tests {
 
     #[test]
     fn dense_model_also_compiles_under_4_of_4() {
-        let (mut model, _) = trained_model(None);
-        let compiled = PeRepNet::compile(&mut model).expect("dense encoding fits");
+        let (model, _) = trained_model(None);
+        let compiled = PeRepNet::compile(&model).expect("dense encoding fits");
         assert!(compiled.tile_count() > 0);
         assert!(compiled.to_string().contains("SRAM PE tiles"));
     }
@@ -1123,7 +1123,7 @@ mod tests {
     #[test]
     fn run_stats_carry_energy_and_latency() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         let (x, _) = task.test.batch(&[0]);
         let (_, stats) = compiled.predict(&mut model, &x);
         assert!(stats.total_energy().as_pj() > 0.0);
@@ -1141,7 +1141,7 @@ mod tests {
     #[test]
     fn refresh_matches_cold_recompile_bit_exactly() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         // Move the learnable weights, as online steps would.
         fit(
             &mut model,
@@ -1155,12 +1155,12 @@ mod tests {
                 seed: 9,
             },
         );
-        let delta = compiled.refresh(&mut model).expect("geometry unchanged");
+        let delta = compiled.refresh(&model).expect("geometry unchanged");
         assert_eq!(delta.loads as usize, compiled.tile_count());
         assert!(delta.write_bits > 0, "training must have moved some codes");
 
         let mut cold_model = model.clone();
-        let mut cold = PeRepNet::compile(&mut cold_model).expect("fits PEs");
+        let mut cold = PeRepNet::compile(&cold_model).expect("fits PEs");
         let (x, _) = task.test.batch(&[0, 1, 2, 3]);
         let (a, _) = compiled.predict(&mut model, &x);
         let (b, _) = cold.predict(&mut cold_model, &x);
@@ -1174,9 +1174,9 @@ mod tests {
 
     #[test]
     fn unchanged_refresh_writes_nothing() {
-        let (mut model, _) = trained_model(Some(NmPattern::one_of_four()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
-        let delta = compiled.refresh(&mut model).expect("geometry unchanged");
+        let (model, _) = trained_model(Some(NmPattern::one_of_four()));
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
+        let delta = compiled.refresh(&model).expect("geometry unchanged");
         assert_eq!(delta.write_bits, 0);
         assert!(delta.energy.write.is_zero());
     }
@@ -1184,7 +1184,7 @@ mod tests {
     #[test]
     fn cloned_branch_replays_bit_exactly() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         let mut replica = compiled.clone();
         let mut model2 = model.clone();
         let (x, _) = task.test.batch(&[0, 1, 2]);
@@ -1196,7 +1196,7 @@ mod tests {
     #[test]
     fn parallel_pool_is_bit_exact_with_serial() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
-        let mut serial = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut serial = PeRepNet::compile(&model).expect("fits PEs");
         let mut model_par = model.clone();
         let mut parallel = serial.clone();
         parallel.attach_pool(Arc::new(WorkPool::with_forced_threads(4)));
@@ -1219,7 +1219,7 @@ mod tests {
     #[test]
     fn pending_write_bits_predicts_the_refresh_delta() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         compiled.attach_pool(Arc::new(WorkPool::with_forced_threads(2)));
         assert_eq!(
             compiled.pending_write_bits(&model).expect("same geometry"),
@@ -1239,7 +1239,7 @@ mod tests {
             },
         );
         let pending = compiled.pending_write_bits(&model).expect("same geometry");
-        let delta = compiled.refresh(&mut model).expect("geometry unchanged");
+        let delta = compiled.refresh(&model).expect("geometry unchanged");
         assert_eq!(pending, delta.write_bits, "preflight is exact");
         assert!(pending > 0, "training must have moved some codes");
     }
@@ -1247,7 +1247,7 @@ mod tests {
     #[test]
     fn run_stats_scale_with_batch() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_eight()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         let (x1, _) = task.test.batch(&[0]);
         let (x4, _) = task.test.batch(&[0, 1, 2, 3]);
         let (_, s1) = compiled.predict(&mut model, &x1);

@@ -75,8 +75,8 @@ impl LearnEngine {
         learner_config: OnlineLearnerConfig,
         policy: WritePolicy,
     ) -> Result<Self, LearnError> {
-        let mut learner = OnlineLearner::new(model, learner_config);
-        let branch = PeRepNet::compile(learner.model_mut())?;
+        let learner = OnlineLearner::new(model, learner_config);
+        let branch = PeRepNet::compile(learner.model())?;
         let full_load_bits = branch.cumulative_stats().write_bits;
         Ok(Self {
             name: name.into(),
@@ -181,7 +181,7 @@ impl LearnEngine {
         }
         authorized?;
         let write_started = Instant::now();
-        let delta = self.branch.refresh(self.learner.model_mut())?;
+        let delta = self.branch.refresh(self.learner.model())?;
         debug_assert_eq!(
             delta.write_bits, pending,
             "preflight diff must match the rewrite bill exactly"
@@ -214,7 +214,9 @@ impl LearnEngine {
     /// flat execution kernel into its existing arrays, so steady-state
     /// refreshes never touch the allocator). Useful for spot-checking the
     /// resident branch between publishes without building a serving
-    /// artifact.
+    /// artifact. Goes through [`OnlineLearner::model_mut`], so the
+    /// learner's backbone memos are dropped and the next step rebuilds
+    /// them.
     pub fn predict(&mut self, input: &Tensor) -> (Tensor, pim_core::pe_inference::PeRunStats) {
         self.branch.predict(self.learner.model_mut(), input)
     }
@@ -280,7 +282,7 @@ impl LearnEngine {
         let full = self.compiled();
         let mut degraded_model = self.learner.model().clone();
         degraded_model.apply_pattern(degraded_pattern);
-        let degraded_branch = PeRepNet::compile(&mut degraded_model)?;
+        let degraded_branch = PeRepNet::compile(&degraded_model)?;
         let degraded = CompiledModel::from_branch(
             format!("{}@v{}-degraded", self.name, self.version),
             &degraded_model,
@@ -293,7 +295,9 @@ impl LearnEngine {
     /// same number of publishes: every weight of the whole network (frozen
     /// backbone included) rewritten through MTJ write pulses, 512 bits per
     /// row pulse — the paper's Figure-8 worst bar, scaled to this run.
-    /// Computed for one publish when none happened yet.
+    /// Computed for one publish when none happened yet. Counts the
+    /// weights through [`OnlineLearner::model_mut`], which drops the
+    /// learner's backbone memos.
     pub fn finetune_all_edp(&mut self) -> f64 {
         let mut weights = 0usize;
         self.learner
@@ -467,7 +471,7 @@ mod tests {
             engine.write_back().expect("write back");
             let (resident, _) = engine.predict(&x);
             let mut model = engine.learner().model().clone();
-            let mut cold = PeRepNet::compile(&mut model).expect("fits PEs");
+            let mut cold = PeRepNet::compile(&model).expect("fits PEs");
             let (reference, _) = cold.predict(&mut model, &x);
             assert_eq!(
                 resident.as_slice(),

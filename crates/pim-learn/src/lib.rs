@@ -6,9 +6,11 @@
 //! crate closes that loop over the rest of the workspace:
 //!
 //! * **Incremental training** — [`OnlineLearner`] feeds a labelled sample
-//!   stream through a bounded replay buffer and takes
-//!   [`pim_nn::train::train_step`] SGD steps (the exact unit of work of
-//!   the offline `fit` loop), backbone frozen.
+//!   stream through a bounded replay buffer and takes SGD steps bit-exact
+//!   with [`pim_nn::train::train_step`] (the unit of work of the offline
+//!   `fit` loop), backbone frozen. Each replay sample memoizes its frozen
+//!   backbone output, so the backbone runs once per sample, not once per
+//!   draw.
 //! * **Differential write-back** — [`LearnEngine`] keeps the adaptor
 //!   *resident* as loaded SRAM PE tiles (`pim_core::pe_inference::PeRepNet`)
 //!   and, on [`LearnEngine::write_back`], re-quantizes each tile's block

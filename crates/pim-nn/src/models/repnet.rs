@@ -24,6 +24,7 @@ use crate::sparse::{SparseConv2d, SparseLinear};
 use crate::tensor::Tensor;
 use crate::train::{Dataset, Model};
 use pim_sparse::NmPattern;
+use std::borrow::Cow;
 
 /// One reprogramming module: activation connector (1×1 conv from the tap),
 /// optional 2× average pool on the carried state, then 3×3 conv + 1×1 conv.
@@ -314,28 +315,26 @@ impl RepNet {
         self.classifier = head;
     }
 
-    fn maybe_quant(&self, t: Tensor) -> Tensor {
-        if self.int8_eval {
-            fake_quant_auto(&t)
-        } else {
-            t
-        }
-    }
-
-    /// Runs only the frozen backbone, returning its taps and pooled
-    /// features. Because the backbone never trains, callers can cache this
-    /// per dataset (the paper's "saved activation" buffers) and train the
-    /// rep path from the cache via [`predict_from_taps`].
+    /// Runs only the frozen backbone (always in inference mode), returning
+    /// its per-stage taps and pooled features — the first half of
+    /// [`Model::predict`]. Because the backbone never trains, the output
+    /// for a given input stays valid until the backbone's weights change,
+    /// so callers can memoize it (the paper's "saved activation"
+    /// buffers) and train the rep path from the memo via
+    /// [`predict_from_taps`]. `pim-learn`'s `OnlineLearner` does exactly
+    /// that for every replay sample. Each sample's output depends only on
+    /// that sample, so a batch's rows can be split and re-stacked freely.
     ///
     /// [`predict_from_taps`]: Self::predict_from_taps
     pub fn backbone_outputs(&mut self, input: &Tensor) -> crate::models::BackboneOutput {
         self.backbone.forward_with_taps(input, false)
     }
 
-    /// Forward pass of the learnable path from cached backbone outputs.
-    /// Produces exactly the same logits as [`Model::predict`] on the
-    /// original input (the backbone is frozen), but without re-running the
-    /// backbone.
+    /// Forward pass of the learnable path from backbone outputs — the
+    /// second half of [`Model::predict`]. Produces exactly the same logits
+    /// as [`Model::predict`] on the original input (the backbone is
+    /// frozen), without re-running the backbone. With `train = true` the
+    /// rep path caches what [`Model::backprop`] needs.
     ///
     /// # Panics
     ///
@@ -346,16 +345,13 @@ impl RepNet {
             self.modules.len(),
             "one tap per rep module required"
         );
-        let features = self.maybe_quant(features.clone());
+        let int8_eval = self.int8_eval;
+        let features = maybe_quant(int8_eval, features);
         let mut rep: Option<Tensor> = None;
         for (module, tap) in self.modules.iter_mut().zip(taps) {
-            let tap_q = if self.int8_eval {
-                fake_quant_auto(tap)
-            } else {
-                tap.clone()
-            };
-            let next = module.forward(rep.as_ref(), &tap_q, train);
-            rep = Some(if self.int8_eval {
+            let tap = maybe_quant(int8_eval, tap);
+            let next = module.forward(rep.as_ref(), &tap, train);
+            rep = Some(if int8_eval {
                 fake_quant_auto(&next)
             } else {
                 next
@@ -370,27 +366,8 @@ impl RepNet {
 
 impl Model for RepNet {
     fn predict(&mut self, input: &Tensor, train: bool) -> Tensor {
-        // Backbone is frozen: always inference mode, no caching.
-        let out = self.backbone.forward_with_taps(input, false);
-        let features = self.maybe_quant(out.features);
-        let mut rep: Option<Tensor> = None;
-        for (module, tap) in self.modules.iter_mut().zip(&out.taps) {
-            let tap_q = if self.int8_eval {
-                fake_quant_auto(tap)
-            } else {
-                tap.clone()
-            };
-            let next = module.forward(rep.as_ref(), &tap_q, train);
-            rep = Some(if self.int8_eval {
-                fake_quant_auto(&next)
-            } else {
-                next
-            });
-        }
-        let rep_state = rep.expect("at least one rep module");
-        let rep_feat = self.rep_gap.forward(&rep_state, train);
-        let combined = concat_cols(&features, &rep_feat);
-        Layer::forward(&mut self.classifier, &combined, train)
+        let out = self.backbone_outputs(input);
+        self.predict_from_taps(&out.taps, &out.features, train)
     }
 
     fn backprop(&mut self, grad_logits: &Tensor) {
@@ -414,6 +391,16 @@ impl Model for RepNet {
 
     fn buffers(&mut self, f: &mut dyn FnMut(&mut Vec<f32>)) {
         Layer::visit_buffers(&mut self.backbone, f);
+    }
+}
+
+/// INT8 fake-quant of a branch-boundary activation when `int8_eval` is
+/// on (see [`RepNet::set_int8_eval`]); borrowed unchanged when off.
+fn maybe_quant(int8_eval: bool, t: &Tensor) -> Cow<'_, Tensor> {
+    if int8_eval {
+        Cow::Owned(fake_quant_auto(t))
+    } else {
+        Cow::Borrowed(t)
     }
 }
 

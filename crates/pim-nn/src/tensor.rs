@@ -260,17 +260,20 @@ impl Tensor {
         }
     }
 
-    /// Concatenates tensors along the batch (first) dimension.
+    /// Concatenates tensors along the batch (first) dimension. Takes any
+    /// sequence of tensor references: a slice, a `Vec`, or an iterator
+    /// that borrows rows from elsewhere.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::IncompatibleShapes`] if any trailing shapes
     /// differ, or [`TensorError::Empty`] when `items` is empty.
-    pub fn stack_batch(items: &[Self]) -> Result<Self, TensorError> {
-        let first = items.first().ok_or(TensorError::Empty)?;
+    pub fn stack_batch<'a>(items: impl IntoIterator<Item = &'a Self>) -> Result<Self, TensorError> {
+        let mut items = items.into_iter().peekable();
+        let first = *items.peek().ok_or(TensorError::Empty)?;
         let tail = &first.shape[1..];
         let mut batch = 0;
-        let mut data = Vec::new();
+        let mut data = Vec::with_capacity(items.size_hint().0 * first.len());
         for t in items {
             if &t.shape[1..] != tail {
                 return Err(TensorError::IncompatibleShapes {

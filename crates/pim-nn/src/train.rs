@@ -55,7 +55,9 @@ impl<L: Layer> Model for L {
 /// Plain SGD with momentum and weight decay.
 ///
 /// Velocity state is kept per parameter *index* in visit order, which is
-/// stable for a fixed model structure.
+/// stable for a fixed model structure. A parameter's velocity is
+/// allocated on its first non-frozen update, so a frozen backbone costs
+/// the optimizer nothing.
 ///
 /// # Example
 ///
@@ -74,7 +76,8 @@ pub struct Sgd {
     lr: f32,
     momentum: f32,
     weight_decay: f32,
-    velocity: Vec<Tensor>,
+    /// `None` until the parameter at that index first trains.
+    velocity: Vec<Option<Tensor>>,
 }
 
 impl Sgd {
@@ -115,10 +118,10 @@ impl Sgd {
         let mut idx = 0;
         model.params(&mut |p: &mut Param| {
             if velocity.len() == idx {
-                velocity.push(Tensor::zeros(p.value.shape()));
+                velocity.push(None);
             }
             if !p.frozen {
-                let v = &mut velocity[idx];
+                let v = velocity[idx].get_or_insert_with(|| Tensor::zeros(p.value.shape()));
                 debug_assert_eq!(v.shape(), p.value.shape(), "param order changed");
                 for ((vi, &gi), wi) in v
                     .as_mut_slice()
@@ -420,14 +423,42 @@ pub fn train_step(
     x: &Tensor,
     labels: &[usize],
 ) -> StepStats {
-    assert!(!labels.is_empty(), "cannot step on an empty batch");
     assert_eq!(
         x.shape().first().copied().unwrap_or(0),
         labels.len(),
         "batch dimension must match label count"
     );
+    train_step_with(model, sgd, labels, |m| m.predict(x, true))
+}
+
+/// The body of [`train_step`] with the training-mode forward pass
+/// supplied by the caller: clear gradients, `forward`, softmax
+/// cross-entropy, backprop, SGD update.
+///
+/// `forward` must run the model in training mode (so the layers cache
+/// what [`Model::backprop`] needs) and return `[labels.len(), classes]`
+/// logits. `pim-learn` passes a forward that starts from memoized
+/// frozen-backbone activations instead of raw inputs; given the same
+/// logits, the update is identical to [`train_step`]'s.
+///
+/// # Panics
+///
+/// Panics if `labels` is empty or the logits' batch dimension differs
+/// from the label count.
+pub fn train_step_with<M: Model + ?Sized>(
+    model: &mut M,
+    sgd: &mut Sgd,
+    labels: &[usize],
+    forward: impl FnOnce(&mut M) -> Tensor,
+) -> StepStats {
+    assert!(!labels.is_empty(), "cannot step on an empty batch");
     model.clear_grads();
-    let logits = model.predict(x, true);
+    let logits = forward(model);
+    assert_eq!(
+        logits.shape().first().copied().unwrap_or(0),
+        labels.len(),
+        "batch dimension must match label count"
+    );
     let (loss, grad) = softmax_cross_entropy(&logits, labels);
     let correct = predictions(&logits)
         .iter()
@@ -543,6 +574,27 @@ mod tests {
         Layer::backward(&mut fc, &Tensor::ones(&[1, 2]));
         sgd.step(&mut fc);
         assert_eq!(fc.weight().value, before);
+    }
+
+    #[test]
+    fn velocity_is_allocated_on_the_first_trainable_update() {
+        let mut fc = Linear::new(2, 2, 4);
+        let mut sgd = Sgd::new(0.1, 0.9, 0.0);
+        Layer::set_frozen(&mut fc, true);
+        fc.weight_mut().grad.fill(1.0);
+        sgd.step(&mut fc);
+        assert_eq!(sgd.velocity.len(), 2, "one slot per param, in visit order");
+        assert!(
+            sgd.velocity.iter().all(Option::is_none),
+            "frozen params hold no velocity"
+        );
+        // Unfrozen later, the weight starts from zero velocity: its first
+        // update is a plain SGD step.
+        Layer::set_frozen(&mut fc, false);
+        let expected = fc.weight().value.map(|w| w + -0.1 * 1.0);
+        sgd.step(&mut fc);
+        assert_eq!(fc.weight().value, expected);
+        assert!(sgd.velocity.iter().all(Option::is_some));
     }
 
     #[test]

@@ -45,8 +45,8 @@ impl CompiledModel {
     /// Returns [`RuntimeError::Compile`] if a layer tile exceeds PE
     /// capacity.
     pub fn compile(name: impl Into<String>, model: &RepNet) -> Result<Self, RuntimeError> {
-        let mut model = model.clone();
-        let branch = PeRepNet::compile(&mut model)?;
+        let model = model.clone();
+        let branch = PeRepNet::compile(&model)?;
         let cfg = model.backbone().config().clone();
         let num_classes = model.classifier().inner().weight_matrix().cols();
         let compile_stats = branch.cumulative_stats();

@@ -114,7 +114,7 @@ fn main() {
 
     // -- Bit-exactness: serving matches a cold recompile -------------------
     let mut cold_model = engine.learner().model().clone();
-    let mut cold_branch = PeRepNet::compile(&mut cold_model).expect("cold recompile");
+    let mut cold_branch = PeRepNet::compile(&cold_model).expect("cold recompile");
     let (x, _) = task.test.batch(&[0]);
     let served = runtime.infer(id, &x).expect("serve");
     let (cold_logits, _) = cold_branch.predict(&mut cold_model, &x);

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("trained model: {report}");
 
     println!("\n== compiling the learnable branch onto SRAM PEs ==");
-    let mut compiled = PeRepNet::compile(system.model_mut())?;
+    let mut compiled = PeRepNet::compile(system.model())?;
     println!("{compiled}");
 
     let indices: Vec<usize> = (0..task.test.len()).collect();

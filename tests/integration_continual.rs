@@ -16,6 +16,7 @@ use pim_core::pe_inference::PeRepNet;
 use pim_data::SyntheticSpec;
 use pim_learn::{LearnEngine, OnlineLearnerConfig, WritePolicy};
 use pim_nn::models::{Backbone, BackboneConfig, RepNet, RepNetConfig};
+use pim_nn::tensor::Tensor;
 use pim_runtime::Runtime;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -85,7 +86,7 @@ fn online_steps_then_hot_swap_serve_bit_exact_within_budget() {
     // (a) Serving is bit-exact with a cold recompile of the learner's
     // current weights, for every test sample.
     let mut cold_model = engine.learner().model().clone();
-    let mut cold_branch = PeRepNet::compile(&mut cold_model).expect("cold recompile");
+    let mut cold_branch = PeRepNet::compile(&cold_model).expect("cold recompile");
     for i in 0..task.test.len() {
         let (x, _) = task.test.batch(&[i]);
         let served = runtime.infer(id, &x).expect("serve");
@@ -155,6 +156,49 @@ fn hot_swaps_under_concurrent_traffic_answer_every_request() {
 }
 
 #[test]
+fn memo_runs_the_backbone_once_per_sample_in_a_publish_block() {
+    // The benchmark's learn block: 8 rounds of observe 4, step 4 and
+    // publish, batches of 8. Without memos every step re-ran the
+    // backbone on its 8 draws: 32 steps x 8 = 256 images. With them the
+    // backbone sees each of the 32 samples at most once.
+    const ROUNDS: usize = 8;
+    const OBSERVE: usize = 4;
+    let mut engine = LearnEngine::new(
+        "memo",
+        tiny_model(4),
+        OnlineLearnerConfig {
+            replay_capacity: 64,
+            batch_size: 8,
+            seed: 104,
+            ..OnlineLearnerConfig::default()
+        },
+        WritePolicy::hybrid_dac24(1 << 22),
+    )
+    .expect("tiny model fits the PEs");
+    let mut builder = Runtime::builder().workers(1).max_wait(Duration::ZERO);
+    let id = builder.register(engine.compiled());
+    let runtime = builder.start();
+    for round in 0..ROUNDS {
+        for i in round * OBSERVE..(round + 1) * OBSERVE {
+            let x = Tensor::from_fn(&[1, 1, 8, 8], |v| ((v * 5 + i * 11) % 13) as f32 / 13.0);
+            engine.observe(&x, i % NUM_CLASSES);
+        }
+        for _ in 0..4 {
+            engine.step().expect("online step");
+        }
+        engine.publish(&runtime, id).expect("publish");
+    }
+    let images = engine.learner().backbone_images();
+    assert!(images > 0, "steps ran the backbone");
+    assert!(
+        images <= (ROUNDS * OBSERVE) as u64,
+        "{images} backbone images for {} samples",
+        ROUNDS * OBSERVE
+    );
+    assert_eq!(runtime.shutdown().model_swaps, ROUNDS as u64);
+}
+
+#[test]
 fn checkpoint_restores_and_write_back_republishes_the_restored_weights() {
     let mut engine = engine(2);
     let task = stream_task();
@@ -175,7 +219,7 @@ fn checkpoint_restores_and_write_back_republishes_the_restored_weights() {
         .expect("save");
     let reference = {
         let mut model = engine.learner().model().clone();
-        let mut branch = PeRepNet::compile(&mut model).expect("reference compile");
+        let mut branch = PeRepNet::compile(&model).expect("reference compile");
         let (x, _) = task.test.batch(&[0]);
         let (logits, _) = branch.predict(&mut model, &x);
         logits.as_slice().to_vec()
@@ -194,7 +238,7 @@ fn checkpoint_restores_and_write_back_republishes_the_restored_weights() {
     engine.write_back().expect("write back restored weights");
     let restored = engine.compiled();
     let mut cold_model = engine.learner().model().clone();
-    let mut cold_branch = PeRepNet::compile(&mut cold_model).expect("cold recompile");
+    let mut cold_branch = PeRepNet::compile(&cold_model).expect("cold recompile");
     let (x, _) = task.test.batch(&[0]);
     let (cold_logits, _) = cold_branch.predict(&mut cold_model, &x);
     assert_eq!(cold_logits.as_slice().to_vec(), reference);

@@ -57,7 +57,7 @@ fn parallel_predict_is_bit_exact_with_serial() {
     let model = tiny_model(3);
 
     let mut model_s = model.clone();
-    let mut serial = PeRepNet::compile(&mut model_s).expect("compile");
+    let mut serial = PeRepNet::compile(&model_s).expect("compile");
     let mut model_p = model.clone();
     let mut parallel = serial.clone();
     parallel.attach_pool(Arc::new(WorkPool::with_forced_threads(4)));
