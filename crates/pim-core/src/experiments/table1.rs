@@ -3,14 +3,18 @@
 //! Reproduces the paper's grid: rows {Dense Rep-Net FP32, Sparse 1:8
 //! FP32/INT8, Sparse 1:4 FP32/INT8}, columns {backbone@upstream, the five
 //! downstream tasks}. The backbone is pretrained once on the synthetic
-//! upstream task; each sparse configuration prunes a backbone copy by
-//! magnitude (the paper's PTQ + N:M assessment) and selects Rep-Net masks
-//! with the one-epoch saliency calibration before fine-tuning.
+//! upstream task; each configuration is a [`HybridSystem`] around a copy
+//! of it, whose sparse variants prune the copy by magnitude (the paper's
+//! PTQ + N:M assessment). Every downstream task is one
+//! [`HybridSystem::learn_task`]: fresh head, one-epoch saliency
+//! calibration (sparse rows), fine-tuning, FP32 and PTQ-INT8 test
+//! accuracy.
 //!
-//! Training uses the frozen backbone's **cached activations** (the paper's
-//! saved-activation buffers): the backbone runs once per dataset and the
-//! rep path trains from the cache, which is numerically identical to the
-//! full forward because the backbone never updates.
+//! Training reads the frozen backbone's **cached activations** (the
+//! paper's saved-activation buffers): `learn_task` runs the backbone once
+//! over each train split, and calibration and every epoch train the rep
+//! path from that cache, bit-exactly as a full forward would because the
+//! backbone never updates.
 //!
 //! Expected shape (paper): dense ≥ 1:4 ≳ 1:8; INT8 within ~2% of FP32;
 //! higher sparsity costs more backbone accuracy (1:8 drops >5%, 1:4
@@ -18,14 +22,9 @@
 
 use crate::system::{HybridSystem, SystemConfig};
 use pim_data::{downstream_suite, SyntheticSpec, Task};
-use pim_nn::layers::predictions;
-use pim_nn::models::{Backbone, BackboneConfig, PretrainNet, RepNet};
-use pim_nn::tensor::Tensor;
-use pim_nn::train::{fit, train_step_with, Dataset, FitConfig, Model, Sgd};
+use pim_nn::models::{Backbone, BackboneConfig, PretrainNet};
+use pim_nn::train::{fit, FitConfig};
 use pim_sparse::NmPattern;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::fmt;
 
 /// Configuration for the Table 1 run.
@@ -199,68 +198,6 @@ impl fmt::Display for Table1 {
     }
 }
 
-/// Gathers batch rows of a batch-first tensor.
-fn gather(t: &Tensor, indices: &[usize]) -> Tensor {
-    let items: Vec<Tensor> = indices.iter().map(|&i| t.batch_item(i)).collect();
-    Tensor::stack_batch(&items).expect("uniform item shapes")
-}
-
-/// Trains the rep path from cached backbone activations — numerically
-/// identical to full-forward training because the backbone is frozen.
-fn train_rep_cached(model: &mut RepNet, data: &Dataset, fit_cfg: &FitConfig) {
-    // Precompute taps and features over the whole training set.
-    let n = data.len();
-    let mut tap_chunks: Vec<Vec<Tensor>> = Vec::new();
-    let mut feat_chunks: Vec<Tensor> = Vec::new();
-    let all: Vec<usize> = (0..n).collect();
-    for chunk in all.chunks(64) {
-        let (x, _) = data.batch(chunk);
-        let out = model.backbone_outputs(&x);
-        tap_chunks.push(out.taps);
-        feat_chunks.push(out.features);
-    }
-    let num_taps = tap_chunks[0].len();
-    let taps: Vec<Tensor> = (0..num_taps)
-        .map(|t| {
-            let parts: Vec<Tensor> = tap_chunks.iter().map(|c| c[t].clone()).collect();
-            Tensor::stack_batch(&parts).expect("uniform tap shapes")
-        })
-        .collect();
-    let features = Tensor::stack_batch(&feat_chunks).expect("uniform feature shapes");
-
-    let mut sgd = Sgd::new(fit_cfg.lr, fit_cfg.momentum, fit_cfg.weight_decay);
-    let mut rng = StdRng::seed_from_u64(fit_cfg.seed);
-    let mut order: Vec<usize> = (0..n).collect();
-    for _ in 0..fit_cfg.epochs {
-        order.shuffle(&mut rng);
-        for chunk in order.chunks(fit_cfg.batch_size) {
-            let tap_batch: Vec<Tensor> = taps.iter().map(|t| gather(t, chunk)).collect();
-            let feat_batch = gather(&features, chunk);
-            let labels: Vec<usize> = chunk.iter().map(|&i| data.labels()[i]).collect();
-            train_step_with(model, &mut sgd, &labels, |m| {
-                m.predict_from_taps(&tap_batch, &feat_batch, true)
-            });
-        }
-    }
-}
-
-/// Evaluates accuracy with a full forward (used for test splits, which are
-/// small).
-fn test_accuracy(model: &mut RepNet, data: &Dataset) -> f64 {
-    let indices: Vec<usize> = (0..data.len()).collect();
-    let mut correct = 0;
-    for chunk in indices.chunks(64) {
-        let (x, labels) = data.batch(chunk);
-        let logits = model.predict(&x, false);
-        correct += predictions(&logits)
-            .iter()
-            .zip(&labels)
-            .filter(|(p, l)| p == l)
-            .count();
-    }
-    correct as f64 / data.len() as f64
-}
-
 /// Runs the full Table 1 experiment.
 pub fn run_table1(cfg: &Table1Config) -> Table1 {
     // Upstream pretraining (once).
@@ -307,22 +244,13 @@ pub fn run_table1(cfg: &Table1Config) -> Table1 {
             .upstream_accuracy(&upstream.test)
             .expect("upstream head retained");
 
-        let mut fp32_accs = Vec::new();
-        let mut int8_accs = Vec::new();
-        for task in &tasks {
-            let model = system.model_mut();
-            model.reset_classifier(task.train.classes(), cfg.seed.wrapping_add(1));
-            model.set_int8_eval(false);
-            if let Some(p) = pattern {
-                model.calibrate_and_prune(&task.train, cfg.task_fit.batch_size, p);
-            }
-            train_rep_cached(model, &task.train, &cfg.task_fit);
-            fp32_accs.push(test_accuracy(model, &task.test));
-            let mut quantized = model.clone();
-            quantized.quantize_weights_int8();
-            quantized.set_int8_eval(true);
-            int8_accs.push(test_accuracy(&mut quantized, &task.test));
-        }
+        let (fp32_accs, int8_accs): (Vec<f64>, Vec<f64>) = tasks
+            .iter()
+            .map(|task| {
+                let report = system.learn_task(task, &cfg.task_fit);
+                (report.accuracy_fp32, report.accuracy_int8)
+            })
+            .unzip();
 
         rows.push(Table1Row {
             label: format!("{label} FP32"),

@@ -104,24 +104,9 @@ impl HybridSystem {
     /// Assembles the system around an already-pretrained backbone wrapper
     /// (keeps the upstream head for the `backbone@upstream` metric).
     pub fn with_pretrained(config: SystemConfig, pretrained: PretrainNet) -> Self {
-        let mut backbone = pretrained.backbone().clone();
-        if let Some(pattern) = config.pattern {
-            backbone.apply_pattern(pattern);
-        }
-        let model = RepNet::new(
-            backbone,
-            RepNetConfig {
-                rep_channels: config.rep_channels,
-                num_classes: 2, // replaced per task
-                seed: config.seed,
-            },
-        );
-        Self {
-            model,
-            config,
-            upstream_reference: Some(pretrained),
-            mapper: Mapper::dac24(),
-        }
+        let mut system = Self::with_backbone(config, pretrained.backbone().clone());
+        system.upstream_reference = Some(pretrained);
+        system
     }
 
     /// Builds a system around an explicit backbone with no upstream head
@@ -134,7 +119,7 @@ impl HybridSystem {
             backbone,
             RepNetConfig {
                 rep_channels: config.rep_channels,
-                num_classes: 2,
+                num_classes: 2, // replaced per task
                 seed: config.seed,
             },
         );
@@ -188,15 +173,24 @@ impl HybridSystem {
     /// Learns one downstream task: resets the classifier head, applies the
     /// one-epoch saliency calibration + N:M pruning (if configured),
     /// fine-tunes the rep path, and evaluates FP32 and PTQ-INT8 accuracy.
+    ///
+    /// The train split goes through the frozen backbone once
+    /// ([`RepNet::backbone_cache`]); calibration and every epoch read
+    /// that cache. The test split is evaluated on raw inputs: the INT8
+    /// clone quantizes the backbone weights too, so FP32 activations
+    /// would not match it.
     pub fn learn_task(&mut self, task: &Task, fit_cfg: &FitConfig) -> TaskReport {
         self.model
             .reset_classifier(task.train.classes(), self.config.seed.wrapping_add(1));
         self.model.set_int8_eval(false);
+        let cache = self.model.backbone_cache(&task.train);
+        let labels = task.train.labels();
         if let Some(pattern) = self.config.pattern {
             self.model
-                .calibrate_and_prune(&task.train, fit_cfg.batch_size, pattern);
+                .calibrate_and_prune(&cache, labels, fit_cfg.batch_size, pattern);
         }
-        let history = fit(&mut self.model, &task.train, fit_cfg);
+        let history = self.model.fit_cached(&cache, labels, fit_cfg);
+        drop(cache);
         let accuracy_fp32 = evaluate(&mut self.model, &task.test, 64);
 
         // PTQ evaluation on a quantized clone (training state untouched).
@@ -461,5 +455,114 @@ mod tests {
         let labels = system.infer(&batch);
         assert_eq!(labels.len(), 3);
         assert!(labels.iter().all(|&l| l < 10));
+    }
+
+    /// `learn_task` without the backbone cache: per-batch `predict` on raw
+    /// inputs for the calibration, then the saliency prune, then `fit`,
+    /// then the same evaluations.
+    fn raw_input_learn_task(
+        model: &mut RepNet,
+        config: &SystemConfig,
+        task: &Task,
+        fit_cfg: &FitConfig,
+    ) -> TaskReport {
+        model.reset_classifier(task.train.classes(), config.seed.wrapping_add(1));
+        model.set_int8_eval(false);
+        if let Some(pattern) = config.pattern {
+            model.clear_grads();
+            let indices: Vec<usize> = (0..task.train.len()).collect();
+            for chunk in indices.chunks(fit_cfg.batch_size) {
+                let (x, labels) = task.train.batch(chunk);
+                let logits = model.predict(&x, true);
+                let (_, grad) = pim_nn::layers::softmax_cross_entropy(&logits, &labels);
+                model.backprop(&grad);
+            }
+            model.apply_saliency_pattern(pattern);
+        }
+        let history = fit(model, &task.train, fit_cfg);
+        let accuracy_fp32 = evaluate(model, &task.test, 64);
+        let mut quantized = model.clone();
+        quantized.quantize_weights_int8();
+        quantized.set_int8_eval(true);
+        let accuracy_int8 = evaluate(&mut quantized, &task.test, 64);
+        TaskReport {
+            task: task.name.clone(),
+            accuracy_fp32,
+            accuracy_int8,
+            history,
+            learnable_fraction: model.learnable_fraction(),
+        }
+    }
+
+    /// Every float of a report, as bits.
+    fn report_bits(report: &TaskReport) -> Vec<u64> {
+        let mut bits = vec![
+            report.accuracy_fp32.to_bits(),
+            report.accuracy_int8.to_bits(),
+            report.learnable_fraction.to_bits(),
+        ];
+        for epoch in &report.history {
+            bits.push(u64::from(epoch.loss.to_bits()));
+            bits.push(epoch.accuracy.to_bits());
+        }
+        bits
+    }
+
+    fn param_bits(model: &mut RepNet) -> Vec<Vec<u32>> {
+        let mut bits = Vec::new();
+        model.params(&mut |p| bits.push(p.value.as_slice().iter().map(|v| v.to_bits()).collect()));
+        bits
+    }
+
+    /// Two tasks in sequence through `learn_task` and through the
+    /// raw-input reference, dense and 1:4, compared bit for bit.
+    fn assert_cached_learn_task_is_bit_exact(backbone: BackboneConfig) {
+        let (size, channels) = (backbone.image_size, backbone.in_channels);
+        let tasks: Vec<Task> = [SyntheticSpec::cifar10_like(), SyntheticSpec::pets_like()]
+            .into_iter()
+            .map(|spec| {
+                spec.with_geometry(size, channels)
+                    .with_samples(3, 2)
+                    .generate()
+                    .expect("valid spec")
+            })
+            .collect();
+        let fit_cfg = FitConfig {
+            epochs: 2,
+            ..tiny_fit()
+        };
+        for pattern in [None, Some(NmPattern::one_of_four())] {
+            let config = SystemConfig {
+                backbone: backbone.clone(),
+                rep_channels: 4,
+                pattern,
+                seed: 5,
+            };
+            let mut system =
+                HybridSystem::with_backbone(config.clone(), Backbone::new(backbone.clone()));
+            let mut reference = system.model().clone();
+            for task in &tasks {
+                let cached = system.learn_task(task, &fit_cfg);
+                let raw = raw_input_learn_task(&mut reference, &config, task, &fit_cfg);
+                let what = format!("{pattern:?} {}", task.name);
+                assert_eq!(cached.history.len(), fit_cfg.epochs, "{what}");
+                assert_eq!(report_bits(&cached), report_bits(&raw), "{what}: report");
+                assert_eq!(cached.task, raw.task);
+                assert!(
+                    param_bits(system.model_mut()) == param_bits(&mut reference),
+                    "{what}: parameters drifted from raw-input training"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cached_learn_task_is_bit_exact_with_raw_input_training_on_the_tiny_backbone() {
+        assert_cached_learn_task_is_bit_exact(BackboneConfig::tiny());
+    }
+
+    #[test]
+    fn cached_learn_task_is_bit_exact_with_raw_input_training_on_the_table1_backbone() {
+        assert_cached_learn_task_is_bit_exact(crate::experiments::Table1Config::quick().backbone);
     }
 }

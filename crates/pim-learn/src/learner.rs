@@ -7,10 +7,12 @@
 //!
 //! The backbone is frozen, so a replay sample's backbone output (the
 //! per-stage taps and pooled features) cannot change while the sample
-//! sits in the buffer. Each entry therefore **memoizes** it the first
-//! time a step draws the sample, and every later step trains the adaptor
-//! from the memo through [`RepNet::predict_from_taps`] — the paper's
-//! "saved activation" buffers. A step is one
+//! sits in the buffer. Each entry therefore **memoizes** it — its row of
+//! a [`BackboneOutput`], the activation cache every Rep-Net training path
+//! reads — the first time a step draws the sample, and every step trains
+//! the adaptor from the stacked memos through
+//! [`RepNet::predict_from_taps`] — the paper's "saved activation"
+//! buffers. A step is one
 //! [`pim_nn::train::train_step_with`], the same clear → forward → loss →
 //! backprop → SGD body the offline [`pim_nn::train::train_step`] runs, so
 //! given the same draws the memoized step is bit-exact with
@@ -73,13 +75,15 @@ struct Sample {
 /// backbone weights sit in write-protected MRAM.
 ///
 /// **Backbone memo.** Each replay sample keeps its frozen-backbone output
-/// once a step has drawn it, so the backbone runs at most once per sample
-/// while the sample stays in the buffer ([`backbone_images`] counts the
-/// runs). A memo holds one sample's taps and features: 7,232 floats
-/// (≈28 KiB) on `BackboneConfig::default()`, so at most
-/// `replay_capacity` × that per learner. A memo is dropped with its
-/// sample on eviction, and every memo is dropped when the backbone may
-/// have changed: by [`model_mut`] and by [`load_checkpoint`].
+/// (a one-row [`BackboneOutput`], split from the batched run with
+/// [`BackboneOutput::gather`]) once a step has drawn it, so the backbone
+/// runs at most once per sample while the sample stays in the buffer
+/// ([`backbone_images`] counts the runs). A step joins the drawn memos
+/// with [`BackboneOutput::stack`]. A memo holds one sample's taps and
+/// features: 7,232 floats (≈28 KiB) on `BackboneConfig::default()`, so
+/// at most `replay_capacity` × that per learner. A memo is dropped with
+/// its sample on eviction, and every memo is dropped when the backbone
+/// may have changed: by [`model_mut`] and by [`load_checkpoint`].
 ///
 /// [`backbone_images`]: Self::backbone_images
 /// [`model_mut`]: Self::model_mut
@@ -188,19 +192,15 @@ impl OnlineLearner {
             .map(|_| self.rng.random_range(0..self.replay.len()))
             .collect();
         self.memoize(&drawn);
-        let memos: Vec<&BackboneOutput> = drawn
-            .iter()
-            .map(|&i| self.replay[i].memo.as_ref().expect("memoized above"))
-            .collect();
-        let taps: Vec<Tensor> = (0..memos[0].taps.len())
-            .map(|t| Tensor::stack_batch(memos.iter().map(|m| &m.taps[t])))
-            .collect::<Result<_, _>>()
-            .expect("memos share one shape");
-        let features =
-            Tensor::stack_batch(memos.iter().map(|m| &m.features)).expect("memos share one shape");
+        let batch = BackboneOutput::stack(
+            drawn
+                .iter()
+                .map(|&i| self.replay[i].memo.as_ref().expect("memoized above")),
+        )
+        .expect("memos share one shape");
         let labels: Vec<usize> = drawn.iter().map(|&i| self.replay[i].label).collect();
         let stats = train_step_with(&mut self.model, &mut self.sgd, &labels, |model| {
-            model.predict_from_taps(&taps, &features, true)
+            model.predict_from_taps(&batch.taps, &batch.features, true)
         });
         self.steps += 1;
         Ok(stats)
@@ -224,10 +224,7 @@ impl OnlineLearner {
         let out = self.model.backbone_outputs(&inputs);
         self.backbone_images += missing.len() as u64;
         for (row, &i) in missing.iter().enumerate() {
-            self.replay[i].memo = Some(BackboneOutput {
-                taps: out.taps.iter().map(|t| t.batch_item(row)).collect(),
-                features: out.features.batch_item(row),
-            });
+            self.replay[i].memo = Some(out.gather(&[row]));
         }
     }
 

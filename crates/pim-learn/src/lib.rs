@@ -9,8 +9,9 @@
 //!   stream through a bounded replay buffer and takes SGD steps bit-exact
 //!   with [`pim_nn::train::train_step`] (the unit of work of the offline
 //!   `fit` loop), backbone frozen. Each replay sample memoizes its frozen
-//!   backbone output, so the backbone runs once per sample, not once per
-//!   draw.
+//!   backbone output (a row of the `pim_nn` activation cache,
+//!   `BackboneOutput`), so the backbone runs once per sample, not once
+//!   per draw.
 //! * **Differential write-back** — [`LearnEngine`] keeps the adaptor
 //!   *resident* as loaded SRAM PE tiles (`pim_core::pe_inference::PeRepNet`)
 //!   and, on [`LearnEngine::write_back`], re-quantizes each tile's block

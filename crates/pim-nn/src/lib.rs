@@ -18,7 +18,9 @@
 //!   respect the mask during fine-tuning.
 //! * [`quant`] — symmetric per-tensor INT8 PTQ with a fake-quant forward
 //!   mode plus bit-true integer kernels for PE cross-validation.
-//! * [`models`] — the backbone and Rep-Net assemblies used in experiments.
+//! * [`models`] — the backbone and Rep-Net assemblies used in experiments,
+//!   and the one frozen-backbone activation cache
+//!   ([`models::BackboneOutput`]) every Rep-Net training path reads.
 //! * [`train`] — SGD, the training loop, and accuracy evaluation.
 //! * [`checkpoint`] — binary save/restore of parameters and BN state.
 //!

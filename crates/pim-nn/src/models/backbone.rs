@@ -7,7 +7,7 @@
 //! Rep-Net path.
 
 use crate::layers::{BatchNorm2d, Conv2d, GlobalAvgPool, Layer, Param, Relu};
-use crate::tensor::Tensor;
+use crate::tensor::{Tensor, TensorError};
 use pim_par::WorkPool;
 use pim_sparse::prune::prune_magnitude;
 use pim_sparse::NmPattern;
@@ -208,12 +208,50 @@ impl BackboneConfig {
     }
 }
 
-/// Output of [`Backbone::forward_with_taps`].
+/// Output of [`Backbone::forward_with_taps`]: batch-first, one row per
+/// input. In inference mode a row depends only on its own input, so rows
+/// can be gathered and stacked freely — this is the frozen-backbone
+/// activation cache the Rep-Net path trains from.
 pub struct BackboneOutput {
     /// Per-stage activations (NCHW), one per stage in order.
     pub taps: Vec<Tensor>,
     /// Globally pooled features `[N, C_last]`.
     pub features: Tensor,
+}
+
+impl BackboneOutput {
+    /// Rows `indices` of every tap and of the features, in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of bounds.
+    pub fn gather(&self, indices: &[usize]) -> Self {
+        Self {
+            taps: self.taps.iter().map(|t| t.gather_batch(indices)).collect(),
+            features: self.features.gather_batch(indices),
+        }
+    }
+
+    /// Concatenates outputs of one backbone along the batch dimension.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::Empty`] when `parts` is empty and
+    /// [`TensorError::IncompatibleShapes`] if the parts come from
+    /// differently shaped backbones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a part holds fewer taps than the first.
+    pub fn stack<'a>(parts: impl IntoIterator<Item = &'a Self>) -> Result<Self, TensorError> {
+        let parts: Vec<&Self> = parts.into_iter().collect();
+        let first = parts.first().ok_or(TensorError::Empty)?;
+        let taps = (0..first.taps.len())
+            .map(|t| Tensor::stack_batch(parts.iter().map(|p| &p.taps[t])))
+            .collect::<Result<_, _>>()?;
+        let features = Tensor::stack_batch(parts.iter().map(|p| &p.features))?;
+        Ok(Self { taps, features })
+    }
 }
 
 /// The fixed main branch.

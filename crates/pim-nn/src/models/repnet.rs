@@ -19,12 +19,17 @@
 
 use crate::layers::{AvgPool2d, Conv2d, GlobalAvgPool, Layer, Param, Relu};
 use crate::models::backbone::Backbone;
+use crate::models::BackboneOutput;
 use crate::quant::fake_quant_auto;
 use crate::sparse::{SparseConv2d, SparseLinear};
 use crate::tensor::Tensor;
-use crate::train::{Dataset, Model};
+use crate::train::{fit_with, gather_labels, Dataset, EpochStats, FitConfig, Model};
 use pim_sparse::NmPattern;
 use std::borrow::Cow;
+
+/// Examples per backbone batch when [`RepNet::backbone_cache`] fills a
+/// cache (bounds the backbone's transient working set).
+const CACHE_CHUNK: usize = 64;
 
 /// One reprogramming module: activation connector (1×1 conv from the tap),
 /// optional 2× average pool on the carried state, then 3×3 conv + 1×1 conv.
@@ -259,23 +264,75 @@ impl RepNet {
         self.classifier.apply_pattern(pattern);
     }
 
-    /// Runs the paper's one-epoch gradient calibration over `data`
-    /// (forward and backward, **no optimizer step**) and then applies
-    /// `pattern` by first-order saliency.
-    pub fn calibrate_and_prune(&mut self, data: &Dataset, batch_size: usize, pattern: NmPattern) {
+    /// Runs the paper's one-epoch gradient calibration (forward and
+    /// backward in index order, **no optimizer step**) from `cache`, the
+    /// [`backbone_cache`](Self::backbone_cache) of the examples labelled
+    /// `labels`, and then applies `pattern` by first-order saliency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` and `labels` differ in length.
+    pub fn calibrate_and_prune(
+        &mut self,
+        cache: &BackboneOutput,
+        labels: &[usize],
+        batch_size: usize,
+        pattern: NmPattern,
+    ) {
+        assert_eq!(
+            cache.features.shape()[0],
+            labels.len(),
+            "one cache row per label"
+        );
         self.clear_grads();
-        let indices: Vec<usize> = (0..data.len()).collect();
+        let indices: Vec<usize> = (0..labels.len()).collect();
         for chunk in indices.chunks(batch_size.max(1)) {
-            let (x, labels) = data.batch(chunk);
-            let logits = Model::predict(self, &x, true);
-            let (_, grad) = crate::layers::softmax_cross_entropy(&logits, &labels);
+            let rows = cache.gather(chunk);
+            let logits = self.predict_from_taps(&rows.taps, &rows.features, true);
+            let (_, grad) =
+                crate::layers::softmax_cross_entropy(&logits, &gather_labels(labels, chunk));
             Model::backprop(self, &grad);
         }
+        self.apply_saliency_pattern(pattern);
+    }
+
+    /// Applies `pattern` to the whole learnable path (rep convolutions and
+    /// classifier) by the saliency accumulated in the gradients since the
+    /// last clear, then clears the gradients.
+    pub fn apply_saliency_pattern(&mut self, pattern: NmPattern) {
         for m in &mut self.modules {
             m.apply_saliency_pattern(pattern);
         }
         self.classifier.apply_saliency_pattern(pattern);
         self.clear_grads();
+    }
+
+    /// Trains the rep path and classifier from `cache` (see
+    /// [`backbone_cache`](Self::backbone_cache)) with the epoch loop of
+    /// [`fit`](crate::train::fit), every batch gathering its rows from the
+    /// cache and running only [`predict_from_taps`](Self::predict_from_taps).
+    /// The backbone is frozen, so this is bit-exact with `fit` on the raw
+    /// inputs, which re-runs the backbone on every batch of every epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `labels` is empty, the batch size is zero, or `cache`
+    /// and `labels` differ in length.
+    pub fn fit_cached(
+        &mut self,
+        cache: &BackboneOutput,
+        labels: &[usize],
+        cfg: &FitConfig,
+    ) -> Vec<EpochStats> {
+        assert_eq!(
+            cache.features.shape()[0],
+            labels.len(),
+            "one cache row per label"
+        );
+        fit_with(self, labels, cfg, |m, batch| {
+            let rows = cache.gather(batch);
+            m.predict_from_taps(&rows.taps, &rows.features, true)
+        })
     }
 
     /// Fraction of parameters that are trainable (the rep path +
@@ -319,15 +376,38 @@ impl RepNet {
     /// its per-stage taps and pooled features — the first half of
     /// [`Model::predict`]. Because the backbone never trains, the output
     /// for a given input stays valid until the backbone's weights change,
-    /// so callers can memoize it (the paper's "saved activation"
-    /// buffers) and train the rep path from the memo via
-    /// [`predict_from_taps`]. `pim-learn`'s `OnlineLearner` does exactly
-    /// that for every replay sample. Each sample's output depends only on
-    /// that sample, so a batch's rows can be split and re-stacked freely.
+    /// so callers can cache it (the paper's "saved activation" buffers)
+    /// and train the rep path from the cache via [`predict_from_taps`].
+    /// Each row depends only on its own input, so rows can be gathered
+    /// and stacked freely ([`BackboneOutput::gather`],
+    /// [`BackboneOutput::stack`]). [`backbone_cache`] builds the cache
+    /// for a whole dataset; `pim-learn`'s `OnlineLearner` keeps one row
+    /// per replay sample.
     ///
     /// [`predict_from_taps`]: Self::predict_from_taps
-    pub fn backbone_outputs(&mut self, input: &Tensor) -> crate::models::BackboneOutput {
+    /// [`backbone_cache`]: Self::backbone_cache
+    pub fn backbone_outputs(&mut self, input: &Tensor) -> BackboneOutput {
         self.backbone.forward_with_taps(input, false)
+    }
+
+    /// The frozen backbone's output for every example of `data`, one row
+    /// per example in index order, computed in batches of
+    /// `CACHE_CHUNK` (64) through
+    /// [`backbone_outputs`](Self::backbone_outputs). This is the cache
+    /// [`calibrate_and_prune`](Self::calibrate_and_prune) and
+    /// [`fit_cached`](Self::fit_cached) read; it stays valid until the
+    /// backbone's weights or BatchNorm statistics change.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is empty.
+    pub fn backbone_cache(&mut self, data: &Dataset) -> BackboneOutput {
+        let indices: Vec<usize> = (0..data.len()).collect();
+        let chunks: Vec<BackboneOutput> = indices
+            .chunks(CACHE_CHUNK)
+            .map(|chunk| self.backbone_outputs(&data.inputs().gather_batch(chunk)))
+            .collect();
+        BackboneOutput::stack(&chunks).expect("cannot cache an empty dataset")
     }
 
     /// Forward pass of the learnable path from backbone outputs — the
@@ -542,7 +622,8 @@ mod tests {
         let inputs = Tensor::from_fn(&[8, 1, 8, 8], |i| (i as f32 * 0.05).cos());
         let labels = vec![0, 1, 0, 1, 0, 1, 0, 1];
         let data = Dataset::new(inputs, labels, 2).unwrap();
-        net.calibrate_and_prune(&data, 4, NmPattern::one_of_four());
+        let cache = net.backbone_cache(&data);
+        net.calibrate_and_prune(&cache, data.labels(), 4, NmPattern::one_of_four());
         for m in net.modules() {
             for conv in m.sparse_convs() {
                 assert!(conv.mask().is_some());
@@ -590,6 +671,72 @@ mod tests {
         let out = net.backbone_outputs(&x);
         let cached = net.predict_from_taps(&out.taps, &out.features, false);
         assert_eq!(full, cached);
+    }
+
+    fn param_bits(net: &mut RepNet) -> Vec<Vec<u32>> {
+        let mut bits = Vec::new();
+        Model::params(net, &mut |p: &mut Param| {
+            bits.push(p.value.as_slice().iter().map(|v| v.to_bits()).collect())
+        });
+        bits
+    }
+
+    fn history_bits(history: &[EpochStats]) -> Vec<(u32, u64)> {
+        history
+            .iter()
+            .map(|e| (e.loss.to_bits(), e.accuracy.to_bits()))
+            .collect()
+    }
+
+    /// Calibration and training from the backbone cache against the same
+    /// run on raw inputs (per-batch `predict`, then the saliency prune,
+    /// then `fit`). 70 examples cross the cache's 64-example chunk.
+    #[test]
+    fn cached_calibration_and_fit_are_bit_exact_with_raw_input_training() {
+        let n = 70;
+        let inputs = Tensor::from_fn(&[n, 1, 8, 8], |i| ((i * 37) % 23) as f32 / 23.0 - 0.4);
+        let data = Dataset::new(inputs, (0..n).map(|i| (i * 7) % 3).collect(), 3).unwrap();
+        let cfg = FitConfig {
+            epochs: 3,
+            batch_size: 16,
+            lr: 0.05,
+            momentum: 0.9,
+            weight_decay: 1e-4,
+            seed: 4,
+        };
+        for pattern in [None, Some(NmPattern::one_of_four())] {
+            let mut raw = tiny_net(3);
+            let mut cached = raw.clone();
+            if let Some(p) = pattern {
+                raw.clear_grads();
+                let indices: Vec<usize> = (0..n).collect();
+                for chunk in indices.chunks(cfg.batch_size) {
+                    let (x, labels) = data.batch(chunk);
+                    let logits = raw.predict(&x, true);
+                    let (_, grad) = crate::layers::softmax_cross_entropy(&logits, &labels);
+                    raw.backprop(&grad);
+                }
+                raw.apply_saliency_pattern(p);
+            }
+            let raw_history = fit(&mut raw, &data, &cfg);
+
+            let cache = cached.backbone_cache(&data);
+            assert_eq!(cache.features.shape()[0], n);
+            if let Some(p) = pattern {
+                cached.calibrate_and_prune(&cache, data.labels(), cfg.batch_size, p);
+            }
+            let cached_history = cached.fit_cached(&cache, data.labels(), &cfg);
+
+            assert_eq!(
+                history_bits(&cached_history),
+                history_bits(&raw_history),
+                "{pattern:?}: epoch stats"
+            );
+            assert!(
+                param_bits(&mut cached) == param_bits(&mut raw),
+                "{pattern:?}: parameters drifted from raw-input training"
+            );
+        }
     }
 
     #[test]

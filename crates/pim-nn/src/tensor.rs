@@ -248,16 +248,27 @@ impl Tensor {
     ///
     /// Panics if the tensor is rank 0 or `n` is out of bounds.
     pub fn batch_item(&self, n: usize) -> Self {
+        self.gather_batch(&[n])
+    }
+
+    /// Gathers batch items `indices` of an N-first tensor, in that order
+    /// (repeats allowed), into one tensor of batch size `indices.len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor is rank 0 or any index is out of bounds.
+    pub(crate) fn gather_batch(&self, indices: &[usize]) -> Self {
         assert!(self.rank() >= 1, "cannot slice a rank-0 tensor");
         let batch = self.shape[0];
-        assert!(n < batch, "batch index {n} out of bounds ({batch})");
         let stride: usize = self.shape[1..].iter().product();
-        let mut shape = self.shape.clone();
-        shape[0] = 1;
-        Self {
-            shape,
-            data: self.data[n * stride..(n + 1) * stride].to_vec(),
+        let mut data = Vec::with_capacity(indices.len() * stride);
+        for &n in indices {
+            assert!(n < batch, "batch index {n} out of bounds ({batch})");
+            data.extend_from_slice(&self.data[n * stride..(n + 1) * stride]);
         }
+        let mut shape = self.shape.clone();
+        shape[0] = indices.len();
+        Self { shape, data }
     }
 
     /// Concatenates tensors along the batch (first) dimension. Takes any
@@ -408,6 +419,15 @@ mod tests {
         let second = t.batch_item(1);
         assert_eq!(second.shape(), &[1, 3]);
         assert_eq!(second.as_slice(), &[3., 4., 5.]);
+    }
+
+    #[test]
+    fn gather_batch_picks_rows_in_order_with_repeats() {
+        let t = Tensor::from_vec(vec![3, 2], (0..6).map(|v| v as f32).collect()).unwrap();
+        let g = t.gather_batch(&[2, 0, 2]);
+        assert_eq!(g.shape(), &[3, 2]);
+        assert_eq!(g.as_slice(), &[4., 5., 0., 1., 4., 5.]);
+        assert_eq!(t.gather_batch(&[]).shape(), &[0, 2]);
     }
 
     #[test]

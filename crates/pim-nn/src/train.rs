@@ -140,101 +140,6 @@ impl Sgd {
     }
 }
 
-/// Adam optimizer (Kingma & Ba) — provided alongside [`Sgd`] for library
-/// completeness; the paper's experiments use SGD with momentum, but
-/// adaptive optimizers are the norm for on-device adaptation work built
-/// on top of this crate.
-///
-/// # Example
-///
-/// ```
-/// use pim_nn::layers::{Layer, Linear};
-/// use pim_nn::train::Adam;
-/// use pim_nn::tensor::Tensor;
-///
-/// let mut fc = Linear::new(2, 1, 0);
-/// let mut adam = Adam::new(1e-2);
-/// fc.forward(&Tensor::ones(&[1, 2]), true);
-/// fc.backward(&Tensor::ones(&[1, 1]));
-/// adam.step(&mut fc);
-/// ```
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    step: u64,
-    first: Vec<Tensor>,
-    second: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Creates the optimizer with the canonical β₁ = 0.9, β₂ = 0.999,
-    /// ε = 1e-8.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive.
-    pub fn new(lr: f32) -> Self {
-        Self::with_betas(lr, 0.9, 0.999)
-    }
-
-    /// Creates the optimizer with explicit moment decays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive or a beta is outside `[0, 1)`.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!(
-            (0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2),
-            "betas must be in [0, 1)"
-        );
-        Self {
-            lr,
-            beta1,
-            beta2,
-            eps: 1e-8,
-            step: 0,
-            first: Vec::new(),
-            second: Vec::new(),
-        }
-    }
-
-    /// Applies one bias-corrected Adam update to every non-frozen
-    /// parameter.
-    pub fn step(&mut self, model: &mut (impl Model + ?Sized)) {
-        self.step += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.step as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.step as i32);
-        let lr = self.lr;
-        let (b1, b2, eps) = (self.beta1, self.beta2, self.eps);
-        let first = &mut self.first;
-        let second = &mut self.second;
-        let mut idx = 0;
-        model.params(&mut |p: &mut Param| {
-            if first.len() == idx {
-                first.push(Tensor::zeros(p.value.shape()));
-                second.push(Tensor::zeros(p.value.shape()));
-            }
-            if !p.frozen {
-                let m = first[idx].as_mut_slice();
-                let v = second[idx].as_mut_slice();
-                let g = p.grad.as_slice();
-                let w = p.value.as_mut_slice();
-                for i in 0..w.len() {
-                    m[i] = b1 * m[i] + (1.0 - b1) * g[i];
-                    v[i] = b2 * v[i] + (1.0 - b2) * g[i] * g[i];
-                    let m_hat = m[i] / bc1;
-                    let v_hat = v[i] / bc2;
-                    w[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-                }
-            }
-            idx += 1;
-        });
-    }
-}
-
 /// A labelled classification dataset held fully in memory.
 #[derive(Debug, Clone)]
 pub struct Dataset {
@@ -302,11 +207,9 @@ impl Dataset {
     ///
     /// Panics if any index is out of bounds.
     pub fn batch(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
-        let items: Vec<Tensor> = indices.iter().map(|&i| self.inputs.batch_item(i)).collect();
-        let labels = indices.iter().map(|&i| self.labels[i]).collect();
         (
-            Tensor::stack_batch(&items).expect("items share trailing shape"),
-            labels,
+            self.inputs.gather_batch(indices),
+            gather_labels(&self.labels, indices),
         )
     }
 }
@@ -437,9 +340,11 @@ pub fn train_step(
 ///
 /// `forward` must run the model in training mode (so the layers cache
 /// what [`Model::backprop`] needs) and return `[labels.len(), classes]`
-/// logits. `pim-learn` passes a forward that starts from memoized
-/// frozen-backbone activations instead of raw inputs; given the same
-/// logits, the update is identical to [`train_step`]'s.
+/// logits. `pim-learn`'s online learner and
+/// [`RepNet::fit_cached`](crate::models::RepNet::fit_cached) pass a
+/// forward that starts from cached frozen-backbone activations instead
+/// of raw inputs; given the same logits, the update is identical to
+/// [`train_step`]'s.
 ///
 /// # Panics
 ///
@@ -475,17 +380,40 @@ pub fn train_step_with<M: Model + ?Sized>(
 }
 
 /// Trains `model` on `data` with softmax cross-entropy, returning per-epoch
-/// statistics.
+/// statistics. Every batch runs the whole model on raw inputs; a Rep-Net,
+/// whose backbone is frozen, trains through
+/// [`RepNet::fit_cached`](crate::models::RepNet::fit_cached) instead.
 ///
 /// # Panics
 ///
 /// Panics if the dataset is empty or the batch size is zero.
 pub fn fit(model: &mut (impl Model + ?Sized), data: &Dataset, cfg: &FitConfig) -> Vec<EpochStats> {
-    assert!(!data.is_empty(), "cannot train on an empty dataset");
+    fit_with(model, data.labels(), cfg, |m, batch| {
+        m.predict(&data.inputs().gather_batch(batch), true)
+    })
+}
+
+/// The epoch loop of [`fit`] with the per-batch training-mode forward
+/// supplied by the caller: each epoch shuffles the example indices with
+/// `cfg.seed`'s stream, cuts them into `cfg.batch_size` chunks and runs
+/// one [`train_step_with`] per chunk, whose forward is
+/// `forward(model, chunk)`. Given the same logits per chunk, the run is
+/// identical to [`fit`]'s.
+///
+/// # Panics
+///
+/// Panics if `labels` is empty or the batch size is zero.
+pub(crate) fn fit_with<M: Model + ?Sized>(
+    model: &mut M,
+    labels: &[usize],
+    cfg: &FitConfig,
+    mut forward: impl FnMut(&mut M, &[usize]) -> Tensor,
+) -> Vec<EpochStats> {
+    assert!(!labels.is_empty(), "cannot train on an empty dataset");
     assert!(cfg.batch_size > 0, "batch size must be nonzero");
     let mut sgd = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut order: Vec<usize> = (0..data.len()).collect();
+    let mut order: Vec<usize> = (0..labels.len()).collect();
     let mut history = Vec::with_capacity(cfg.epochs);
     for _ in 0..cfg.epochs {
         order.shuffle(&mut rng);
@@ -493,18 +421,24 @@ pub fn fit(model: &mut (impl Model + ?Sized), data: &Dataset, cfg: &FitConfig) -
         let mut correct = 0usize;
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch_size) {
-            let (x, labels) = data.batch(chunk);
-            let step = train_step(model, &mut sgd, &x, &labels);
+            let step = train_step_with(model, &mut sgd, &gather_labels(labels, chunk), |m| {
+                forward(m, chunk)
+            });
             correct += step.correct;
             total_loss += step.loss as f64;
             batches += 1;
         }
         history.push(EpochStats {
             loss: (total_loss / batches as f64) as f32,
-            accuracy: correct as f64 / data.len() as f64,
+            accuracy: correct as f64 / labels.len() as f64,
         });
     }
     history
+}
+
+/// `labels[i]` for every `i` in `indices`.
+pub(crate) fn gather_labels(labels: &[usize], indices: &[usize]) -> Vec<usize> {
+    indices.iter().map(|&i| labels[i]).collect()
 }
 
 /// Evaluates classification accuracy (inference mode, batched).
@@ -699,55 +633,6 @@ mod tests {
     #[should_panic(expected = "learning rate must be positive")]
     fn sgd_rejects_zero_lr() {
         let _ = Sgd::new(0.0, 0.0, 0.0);
-    }
-
-    #[test]
-    fn adam_descends_a_quadratic() {
-        let mut fc = Linear::new(1, 1, 1);
-        let mut adam = Adam::new(0.05);
-        let start = Layer::forward(&mut fc, &Tensor::ones(&[1, 1]), false).as_slice()[0].abs();
-        for _ in 0..200 {
-            fc.zero_grad();
-            let y = Layer::forward(&mut fc, &Tensor::ones(&[1, 1]), true);
-            let _ = Layer::backward(&mut fc, &y);
-            adam.step(&mut fc);
-        }
-        let end = Layer::forward(&mut fc, &Tensor::ones(&[1, 1]), false).as_slice()[0].abs();
-        assert!(end < start * 0.1 || end < 1e-3, "start {start} end {end}");
-    }
-
-    #[test]
-    fn adam_respects_frozen_params() {
-        let mut fc = Linear::new(2, 2, 3);
-        Layer::set_frozen(&mut fc, true);
-        let before = fc.weight().value.clone();
-        let mut adam = Adam::new(0.1);
-        Layer::forward(&mut fc, &Tensor::ones(&[1, 2]), true);
-        Layer::backward(&mut fc, &Tensor::ones(&[1, 2]));
-        adam.step(&mut fc);
-        assert_eq!(fc.weight().value, before);
-    }
-
-    #[test]
-    fn adam_first_step_has_unit_scale_regardless_of_gradient_magnitude() {
-        // Bias correction: the first step moves ≈ lr in the gradient
-        // direction whether the gradient is 1e-3 or 1e3.
-        for scale in [1e-3f32, 1.0, 1e3] {
-            let mut fc = Linear::new(1, 1, 2);
-            let w0 = fc.weight().value.as_slice()[0];
-            let mut adam = Adam::new(0.01);
-            fc.zero_grad();
-            fc.weight_mut().grad.fill(scale);
-            adam.step(&mut fc);
-            let delta = (fc.weight().value.as_slice()[0] - w0).abs();
-            assert!((delta - 0.01).abs() < 1e-3, "scale {scale}: delta {delta}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "betas must be in [0, 1)")]
-    fn adam_rejects_bad_betas() {
-        let _ = Adam::with_betas(0.1, 1.0, 0.9);
     }
 
     #[test]

@@ -55,6 +55,17 @@ fn quick_table1_produces_the_five_rows() {
         dense + 1e-9 >= pruned - 0.05,
         "dense {dense} pruned {pruned}"
     );
+    // The quick grid is deterministic; pinned byte for byte.
+    assert_eq!(
+        table.to_csv(),
+        "configure,backbone,flowers102,pets,food101,cifar10,cifar100
+Dense RepNet FP32,0.9938,0.0833,0.1486,0.0743,0.1500,0.1000
+Sparse RepNet (1:8) FP32,0.2875,0.0294,0.0541,0.0198,0.1500,0.0200
+Sparse RepNet (1:8) INT8,0.2812,0.0294,0.0541,0.0198,0.1500,0.0200
+Sparse RepNet (1:4) FP32,0.5500,0.0294,0.0541,0.0396,0.0000,0.0300
+Sparse RepNet (1:4) INT8,0.5500,0.0294,0.0676,0.0446,0.0000,0.0300
+"
+    );
 }
 
 #[test]
